@@ -1,7 +1,7 @@
 //! Ablation: live loopback ingest vs offline batch analysis.
 //!
-//! The net subsystem claims the live path (TraceSender → TCP → Server →
-//! LivePipeline) adds transport on top of — but does not change — the
+//! The net subsystem claims the live path (TraceSender → TCP → FleetServer
+//! → LivePipeline) adds transport on top of — but does not change — the
 //! analysis. This bench quantifies the transport tax: it replays the same
 //! rendered trace (a) offline via `decode_trace` + `run_architecture` and
 //! (b) over a localhost loopback at `SendRate::Max`, and reports ingest
@@ -15,10 +15,11 @@
 
 use rfd_bench::report::BenchReport;
 use rfd_bench::*;
-use rfd_net::{RecordSubscriber, SendRate, Server, ServerConfig, SubEvent, TraceSender};
+use rfd_net::{FleetConfig, FleetServer, RecordSubscriber, SendRate, SubEvent, TraceSender};
 use rfd_telemetry::json::JsonValue;
 use rfdump::arch::{run_architecture, ArchConfig};
-use rfdump::live::LivePipeline;
+use rfdump::fleet::pipeline_factory;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 fn arch_cfg(band: rfd_ether::Band) -> ArchConfig {
@@ -61,15 +62,15 @@ fn main() {
         .collect();
     let offline_msps = n_samples / offline_wall.as_secs_f64() / 1e6;
 
-    // --- Live loopback: TCP replay into a once-mode server -------------
+    // --- Live loopback: TCP replay into a one-session server ----------
     let t0 = Instant::now();
-    let server = Server::bind(
+    let server = FleetServer::bind(
         "127.0.0.1:0",
-        ServerConfig {
-            once: true,
+        FleetConfig {
+            expect: Some(1),
             ..Default::default()
         },
-        Box::new(LivePipeline::new(arch_cfg(trace.band))),
+        pipeline_factory(arch_cfg(trace.band), None, Arc::new(Mutex::new(None))),
         None,
     )
     .unwrap();
@@ -88,7 +89,7 @@ fn main() {
             _ => {}
         }
     }
-    let stats = run.join().unwrap();
+    let stats = run.join().unwrap().net;
     let live_wall = t0.elapsed();
     let live_msps = n_samples / live_wall.as_secs_f64() / 1e6;
     let ingest_msps = if stats.ingest_wall_us > 0 {

@@ -84,12 +84,9 @@ fn main() {
         let budgeted = ArchConfig {
             governor: Some(GovernorConfig {
                 latency_budget_us: Some(budget_ms * 1_000.0),
-                // Park the CPU-ratio watermarks out of reach (exactly as
-                // the CLI does for --latency-budget without --governor) so
-                // every violation, resize, and shed on the curve is
-                // attributable to the latency signal alone.
-                high_water: f64::INFINITY,
-                low_water: 0.0,
+                // No CPU-ratio ladder (the default), so every violation,
+                // resize, and shed on the curve is attributable to the
+                // latency signal alone.
                 ..Default::default()
             }),
             ..cfg.clone()

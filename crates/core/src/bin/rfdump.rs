@@ -5,11 +5,11 @@
 //! line per monitored transmission.
 //!
 //! Besides offline replay, three subcommands speak the `rfd-net` wire
-//! protocol: `serve` runs the live capture server (sample streams in,
-//! record streams out), `send` replays a trace into a server, and `watch`
-//! subscribes to a server's record stream. A fourth, `top`, polls a
-//! `--metrics-addr` scrape endpoint and renders a refreshing terminal
-//! view of rates, per-stage latency quantiles and recent events.
+//! protocol: `serve` runs the live capture server (sample streams from any
+//! number of senders in, record streams out), `send` replays a trace into
+//! a server, and `watch` subscribes to a server's record stream. A fourth,
+//! `top`, polls a `--metrics-addr` scrape endpoint and renders a refreshing
+//! terminal view of rates, per-stage latency quantiles and recent events.
 //!
 //! `rfdump kernel` reports the DSP kernel backend this host resolves:
 //! the active backend (after honoring `RFD_KERNEL=scalar|sse2|avx2|auto`),
@@ -20,8 +20,7 @@
 //!
 //! ```text
 //! rfdump -r trace.rfdt [options]
-//! rfdump serve --listen ADDR [--once]
-//!              [--fleet [--expect N] [--source-timeout SECS]]
+//! rfdump serve --listen ADDR [--expect N] [--source-timeout SECS]
 //!              [--queue-cap N] [--overflow block|drop-oldest]
 //!              [--sub-queue-cap N] [--resume-grace SECS]
 //!              [arch options] [-q]
@@ -63,14 +62,10 @@
 //!   --resume         recover from the journal in DIR: replay durable
 //!                    records, skip their re-analysis, and produce output
 //!                    byte-identical to an uninterrupted run
-//!   --fleet          (serve) multi-sensor ingest: accept N concurrent
-//!                    senders, shard each `--source` onto its own pipeline
-//!                    instance, and merge the record streams with
-//!                    per-source tags
-//!   --expect N       (serve --fleet) shut down cleanly once N sources
-//!                    have completed (bounded runs; fleet's `--once`)
-//!   --source-timeout S (serve --fleet) evict a source after S seconds of
-//!                    silence (no frames; default 30)
+//!   --expect N       (serve) shut down cleanly once N senders' sessions
+//!                    have completed (bounded runs)
+//!   --source-timeout S (serve) evict a sender after S seconds of silence
+//!                    (no frames; default 30)
 //!   --source ID      (send) name this capture source; the server shards
 //!                    and tags its records by ID. (watch) print only ID's
 //!                    records, bare — byte-identical to `rfdump -r` on the
@@ -78,29 +73,31 @@
 //!   --wait-source S  (watch --source) retry for up to S seconds until the
 //!                    source appears, instead of failing at first miss
 //!
+//! `serve` accepts any number of concurrent senders and analyzes each on
+//! its own pipeline instance. A `--source` sender's records are tagged
+//! with its id; a plain sender's records stay untagged.
 //! `serve` shuts down cleanly on SIGINT or on end-of-file of a piped
 //! stdin: subscribers get a Bye, --stats-json / --trace-out are flushed,
 //! and the exit code is 0.
 //! `send` reconnects with capped exponential backoff and resumes from the
 //! server's acknowledged sample (--retries 0 disables, single attempt).
-//! Under `--source`, a reconnecting sender re-handshakes with its source
-//! id and the fleet server resumes its parked session (see
-//! `serve --resume-grace`); the per-source record stream stays
-//! byte-identical to an uninterrupted run.
+//! The server parks a dropped sender's session (see `serve --resume-grace`)
+//! and the reconnecting sender resumes it: a plain sender by session
+//! number, a `--source` sender by re-handshaking with its id. Either way
+//! the record stream stays byte-identical to an uninterrupted run.
 //! `watch` resumes its subscription from the last received record.
 //! ```
 
 use rfd_fault::FaultPlan;
 use rfd_net::{
-    OverflowPolicy, ResilientSender, ResilientSubscriber, RetryPolicy, SendRate, Server,
-    ServerConfig, SubEvent, TraceSender,
+    FleetConfig, FleetServer, HubMsg, OverflowPolicy, ResilientSender, ResilientSubscriber,
+    RetryPolicy, SendRate, SubEvent, TraceSender,
 };
 use rfdump::arch::{
     default_workers, run_architecture_with_registry, ArchConfig, ArchKind, DetectorSet,
 };
 use rfdump::durability::DurabilityConfig;
 use rfdump::governor::GovernorConfig;
-use rfdump::live::LivePipeline;
 use rfdump::protocols::render_table2;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -117,7 +114,7 @@ fn parse_chaos(spec: &str) -> Result<Option<Arc<FaultPlan>>, String> {
 /// Parses a `--governor` mode: `auto` or a pinned shed level.
 fn parse_governor(mode: &str) -> Result<GovernorConfig, String> {
     match mode {
-        "auto" => Ok(GovernorConfig::default()),
+        "auto" => Ok(GovernorConfig::cpu_adaptive()),
         lvl => {
             let level: u8 = lvl
                 .parse()
@@ -155,15 +152,12 @@ fn parse_chunk_bound(flag: &str, v: &str) -> Result<usize, String> {
 }
 
 /// Folds the bounded-latency flags into the governor config: a budget
-/// turns the governor on (adaptive, unless `--governor` already pinned or
-/// configured it) and carries the chunk ladder bounds.
+/// turns the governor on (unless `--governor` already pinned or configured
+/// it) and carries the chunk ladder bounds.
 ///
-/// A budget *without* an explicit `--governor` engages only the latency
-/// ladder: the CPU-ratio watermarks are parked out of reach, so the only
-/// thing that can shed is a measured budget violation. That is what makes
-/// "byte-identical with and without an unviolated `--latency-budget`" a
-/// contract rather than a bet on the host keeping up with real time —
-/// CPU-ratio shedding stays opt-in via `--governor auto`.
+/// A budget *without* an explicit `--governor` builds on
+/// [`GovernorConfig::default`], which has no CPU-ratio ladder, so the only
+/// thing that can shed is a measured budget violation.
 fn apply_latency_flags(
     governor: &mut Option<GovernorConfig>,
     budget_ms: Option<f64>,
@@ -176,11 +170,7 @@ fn apply_latency_flags(
         }
         return Ok(());
     }
-    let mut g = governor.take().unwrap_or(GovernorConfig {
-        high_water: f64::INFINITY,
-        low_water: 0.0,
-        ..GovernorConfig::default()
-    });
+    let mut g = governor.take().unwrap_or_default();
     g.latency_budget_us = budget_ms.map(|ms| ms * 1e3);
     if let Some(m) = chunk_min {
         g.chunk_min = m;
@@ -229,8 +219,7 @@ fn usage() -> ExitCode {
          \x20             [--chaos SPEC] [--governor auto|0|1|2]\n\
          \x20             [--latency-budget MS [--chunk-min N] [--chunk-max N]]\n\
          \x20             [--journal DIR] [--resume] [--metrics-addr ADDR]\n\
-         \x20      rfdump serve --listen ADDR [--once]\n\
-         \x20             [--fleet [--expect N] [--source-timeout SECS]]\n\
+         \x20      rfdump serve --listen ADDR [--expect N] [--source-timeout SECS]\n\
          \x20             [--latency-budget MS [--chunk-min N] [--chunk-max N]]\n\
          \x20             [--queue-cap N] [--overflow block|drop-oldest]\n\
          \x20             [--sub-queue-cap N] [--resume-grace SECS]\n\
@@ -378,28 +367,21 @@ fn parse_args() -> Result<Options, String> {
 /// Options for `rfdump serve`.
 struct ServeOptions {
     listen: String,
-    net: ServerConfig,
+    net: FleetConfig,
     arch: ArchConfig,
     quiet: bool,
     stats_json: Option<String>,
     trace_out: Option<String>,
     metrics_addr: Option<String>,
-    fleet: bool,
-    expect: Option<u64>,
-    source_timeout: Option<Duration>,
-    latency_budget: Option<Duration>,
 }
 
 fn parse_serve_args(args: &[String]) -> Result<ServeOptions, String> {
     let mut listen = None;
-    let mut net = ServerConfig::default();
+    let mut net = FleetConfig::default();
     let mut quiet = false;
     let mut stats_json = None;
     let mut trace_out = None;
     let mut metrics_addr = None;
-    let mut fleet = false;
-    let mut expect = None;
-    let mut source_timeout = None;
     let mut latency_budget_ms = None;
     let mut chunk_min = None;
     let mut chunk_max = None;
@@ -437,14 +419,11 @@ fn parse_serve_args(args: &[String]) -> Result<ServeOptions, String> {
         };
         match a.as_str() {
             "--listen" => listen = Some(next("an address")?.to_string()),
-            "--once" => net.once = true,
-            "--fleet" => fleet = true,
             "--expect" => {
-                expect = Some(
-                    next("a count")?
-                        .parse()
-                        .map_err(|_| "--expect needs a positive integer".to_string())?,
-                );
+                net.expect = match next("a count")?.parse() {
+                    Ok(n) if n > 0 => Some(n),
+                    _ => return Err("--expect needs a positive integer".to_string()),
+                };
             }
             "--source-timeout" => {
                 let secs: f64 = next("seconds")?
@@ -453,7 +432,7 @@ fn parse_serve_args(args: &[String]) -> Result<ServeOptions, String> {
                 if !secs.is_finite() || secs <= 0.0 {
                     return Err("--source-timeout needs positive seconds".to_string());
                 }
-                source_timeout = Some(Duration::from_secs_f64(secs));
+                net.idle_timeout = Duration::from_secs_f64(secs);
             }
             "--queue-cap" => {
                 net.queue_cap = next("a count")?
@@ -533,30 +512,14 @@ fn parse_serve_args(args: &[String]) -> Result<ServeOptions, String> {
     if resume && journal.is_none() {
         return Err("--resume needs --journal DIR".to_string());
     }
-    if expect.is_some() && !fleet {
-        return Err("--expect needs --fleet".to_string());
-    }
-    if matches!(expect, Some(0)) {
-        return Err("--expect needs a positive integer".to_string());
-    }
-    if fleet && net.once {
-        return Err("--fleet is incompatible with --once (use --expect N)".to_string());
-    }
-    if source_timeout.is_some() && !fleet {
-        return Err("--source-timeout needs --fleet".to_string());
-    }
     if journal.is_some() && !matches!(arch.kind, ArchKind::RfDump(_)) {
         return Err("--journal requires the rfdump architecture".to_string());
-    }
-    if latency_budget_ms.is_some() && net.once {
-        // `--once` is a bounded one-shot run; bounded-latency mode is a
-        // steady-state control loop and has nothing to govern there.
-        return Err("--latency-budget is incompatible with --once".to_string());
     }
     if latency_budget_ms.is_some() && !matches!(arch.kind, ArchKind::RfDump(_)) {
         return Err("--latency-budget requires the rfdump architecture".to_string());
     }
     apply_latency_flags(&mut arch.governor, latency_budget_ms, chunk_min, chunk_max)?;
+    net.latency_budget = latency_budget_ms.map(|ms| Duration::from_secs_f64(ms / 1e3));
     arch.durability = journal.map(|dir| DurabilityConfig {
         dir: std::path::PathBuf::from(dir),
         resume,
@@ -580,10 +543,6 @@ fn parse_serve_args(args: &[String]) -> Result<ServeOptions, String> {
         stats_json,
         trace_out,
         metrics_addr,
-        fleet,
-        expect,
-        source_timeout,
-        latency_budget: latency_budget_ms.map(|ms| Duration::from_secs_f64(ms / 1e3)),
     })
 }
 
@@ -649,15 +608,11 @@ fn cmd_serve(args: &[String]) -> ExitCode {
             Err(code) => return code,
         },
     };
-    if opts.fleet {
-        return cmd_serve_fleet(opts, metrics, registry);
-    }
-    let mut pipeline = LivePipeline::new(opts.arch);
-    if let Some(reg) = &registry {
-        pipeline = pipeline.with_registry(reg.clone());
-    }
-    let shared_out = pipeline.shared_output();
-    let server = match Server::bind(&opts.listen, opts.net, Box::new(pipeline), registry) {
+    // Every sender gets a fresh pipeline instance; all of them deposit
+    // their architecture output into one slot for --stats-json.
+    let slot: rfdump::live::SharedOutput = Arc::new(std::sync::Mutex::new(None));
+    let factory = rfdump::fleet::pipeline_factory(opts.arch, registry.clone(), slot.clone());
+    let server = match FleetServer::bind(&opts.listen, opts.net, factory, registry) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("rfdump: cannot listen on {}: {e}", opts.listen);
@@ -699,171 +654,30 @@ fn cmd_serve(args: &[String]) -> ExitCode {
             handle.shutdown();
         });
     }
-    // Print records locally through an in-process subscription, so a bare
-    // `serve` terminal shows the same stream network subscribers get.
+    // Print records locally through an in-process subscription, the way an
+    // unfiltered network `watch` prints them: a plain sender's records
+    // bare, a `--source` sender's as `[source] line`.
     let local = server.subscribe();
     let quiet = opts.quiet;
     let printer = std::thread::spawn(move || {
         while let Ok(msg) = local.rx.recv() {
             match msg {
-                rfd_net::HubMsg::Record(r) if !quiet => {
-                    println!("{}", r.line);
+                HubMsg::Record(r) if !quiet => println!("{}", r.line),
+                HubMsg::SourceRecord { source, record } if !quiet => {
+                    println!("[{source}] {}", record.line)
                 }
-                rfd_net::HubMsg::Record(_) => {}
-                rfd_net::HubMsg::Meta(m) => eprintln!(
+                HubMsg::Meta(m) => eprintln!(
                     "rfdump: session started at {:.1} Msps, band center {:.1} MHz",
                     m.sample_rate / 1e6,
                     m.center_hz / 1e6,
                 ),
-                rfd_net::HubMsg::Stats(_) => {}
-                rfd_net::HubMsg::Bye => break,
-                // Tagged fleet messages never reach a single-stream server.
-                _ => {}
-            }
-        }
-    });
-    let stats = match server.run() {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("rfdump: server failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let _ = printer.join();
-    eprintln!(
-        "rfdump: served {} session(s), {} samples, {} records, ingest RT ratio {:.3}",
-        stats.sessions,
-        stats.samples_in,
-        stats.records_published,
-        stats.ingest_rt_ratio(),
-    );
-    let out = shared_out.lock().unwrap_or_else(|e| e.into_inner()).take();
-    let clean_stop = user_stop.load(Ordering::SeqCst);
-    if let Some(path) = &opts.stats_json {
-        match &out {
-            Some(out) => {
-                let doc = rfdump::stats::stats_json_with_net(out, Some(&stats));
-                if let Err(e) =
-                    rfd_journal::atomic_write(std::path::Path::new(path), doc.to_json().as_bytes())
-                {
-                    eprintln!("rfdump: cannot write {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                eprintln!("rfdump: stats written to {path}");
-            }
-            None => {
-                eprintln!("rfdump: no session completed; not writing {path}");
-                if !clean_stop {
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-    }
-    if let Some(path) = &opts.trace_out {
-        match &out {
-            Some(out) => {
-                if let Err(e) = rfdump::stats::write_chrome_trace(out, std::path::Path::new(path)) {
-                    eprintln!("rfdump: cannot write {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                eprintln!("rfdump: span trace written to {path}");
-            }
-            None => {
-                eprintln!("rfdump: no session completed; not writing {path}");
-                if !clean_stop {
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-    }
-    if let Some(m) = metrics {
-        m.join();
-    }
-    ExitCode::SUCCESS
-}
-
-/// The `--fleet` branch of `serve`: multi-sensor ingest through
-/// [`rfd_net::FleetServer`], one fresh pipeline instance per source, with
-/// the merged tagged stream printed locally as `[source] line`.
-fn cmd_serve_fleet(
-    opts: ServeOptions,
-    metrics: Option<rfd_obs::MetricsHandle>,
-    registry: Option<Arc<rfd_telemetry::Registry>>,
-) -> ExitCode {
-    let slot: rfdump::live::SharedOutput = Arc::new(std::sync::Mutex::new(None));
-    let factory = rfdump::fleet::pipeline_factory(opts.arch, registry.clone(), slot.clone());
-    let mut cfg = rfd_net::FleetConfig {
-        queue_cap: opts.net.queue_cap,
-        overflow: opts.net.overflow,
-        sub_queue_cap: opts.net.sub_queue_cap,
-        expect: opts.expect,
-        resume_grace: opts.net.resume_grace,
-        faults: opts.net.faults.clone(),
-        latency_budget: opts.latency_budget,
-        ..rfd_net::FleetConfig::default()
-    };
-    if let Some(t) = opts.source_timeout {
-        cfg.idle_timeout = t;
-    }
-    let server = match rfd_net::FleetServer::bind(&opts.listen, cfg, factory, registry) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("rfdump: cannot listen on {}: {e}", opts.listen);
-            return ExitCode::FAILURE;
-        }
-    };
-    match server.local_addr() {
-        Ok(a) => eprintln!("rfdump: serving on {a}"),
-        Err(_) => eprintln!("rfdump: serving on {}", opts.listen),
-    }
-    let user_stop = Arc::new(AtomicBool::new(false));
-    rfd_fault::signal::install_sigint();
-    {
-        let handle = server.handle();
-        let user_stop = Arc::clone(&user_stop);
-        std::thread::spawn(move || loop {
-            if rfd_fault::signal::sigint_seen() {
-                user_stop.store(true, Ordering::SeqCst);
-                eprintln!("rfdump: interrupt - shutting down");
-                handle.shutdown();
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(50));
-        });
-    }
-    if stdin_is_stream() {
-        let handle = server.handle();
-        let user_stop = Arc::clone(&user_stop);
-        std::thread::spawn(move || {
-            use std::io::Read;
-            let mut sink = [0u8; 256];
-            let mut stdin = std::io::stdin().lock();
-            while matches!(stdin.read(&mut sink), Ok(n) if n > 0) {}
-            user_stop.store(true, Ordering::SeqCst);
-            eprintln!("rfdump: stdin closed - shutting down");
-            handle.shutdown();
-        });
-    }
-    // Local view of the merged stream, prefixed the same way an
-    // unfiltered network `watch` prints it.
-    let local = server.subscribe();
-    let quiet = opts.quiet;
-    let printer = std::thread::spawn(move || {
-        while let Ok(msg) = local.rx.recv() {
-            match msg {
-                rfd_net::HubMsg::SourceRecord { source, record } if !quiet => {
-                    println!("[{source}] {}", record.line);
-                }
-                rfd_net::HubMsg::SourceRecord { .. } => {}
-                rfd_net::HubMsg::SourceMeta { source, meta } => eprintln!(
+                HubMsg::SourceMeta { source, meta } => eprintln!(
                     "rfdump: source '{source}' joined at {:.1} Msps, band center {:.1} MHz",
                     meta.sample_rate / 1e6,
                     meta.center_hz / 1e6,
                 ),
-                rfd_net::HubMsg::SourceBye { source } => {
-                    eprintln!("rfdump: source '{source}' done")
-                }
-                rfd_net::HubMsg::Bye => break,
+                HubMsg::SourceBye { source } => eprintln!("rfdump: source '{source}' done"),
+                HubMsg::Bye => break,
                 _ => {}
             }
         }
@@ -877,12 +691,13 @@ fn cmd_serve_fleet(
     };
     let _ = printer.join();
     eprintln!(
-        "rfdump: served {} source(s) ({} done, {} refused), {} samples, {} records",
+        "rfdump: served {} session(s) ({} done, {} refused), {} samples, {} records, ingest RT ratio {:.3}",
         snap.sources_joined,
         snap.sources_done,
         snap.rejects,
         snap.net.samples_in,
         snap.net.records_published,
+        snap.net.ingest_rt_ratio(),
     );
     let out = slot.lock().unwrap_or_else(|e| e.into_inner()).take();
     let clean_stop = user_stop.load(Ordering::SeqCst);
@@ -899,7 +714,7 @@ fn cmd_serve_fleet(
                 eprintln!("rfdump: stats written to {path}");
             }
             None => {
-                eprintln!("rfdump: no source completed; not writing {path}");
+                eprintln!("rfdump: no session completed; not writing {path}");
                 if !clean_stop {
                     return ExitCode::FAILURE;
                 }
@@ -916,7 +731,7 @@ fn cmd_serve_fleet(
                 eprintln!("rfdump: span trace written to {path}");
             }
             None => {
-                eprintln!("rfdump: no source completed; not writing {path}");
+                eprintln!("rfdump: no session completed; not writing {path}");
                 if !clean_stop {
                     return ExitCode::FAILURE;
                 }

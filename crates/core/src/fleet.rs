@@ -1,5 +1,5 @@
-//! Fleet glue: adapts the offline architecture to `rfd_net`'s multi-sensor
-//! ingest plane.
+//! Server glue: adapts the offline architecture to `rfd_net`'s ingest
+//! server.
 //!
 //! [`rfd_net::FleetServer`] shards each capture source onto its own
 //! pipeline instance, which it obtains from an injected
@@ -17,11 +17,12 @@
 //! from the [`rfd_net::FleetSnapshot`] instead.
 //!
 //! Durability shards with the pipeline: when `cfg.durability` is set, each
-//! source journals under its own subdirectory (`DIR/<source-id>`), so a
-//! fleet run is resumable per source with the same byte-identical-output
-//! guarantee a single-stream `--journal` run has. Source ids are validated
-//! at the wire (`[A-Za-z0-9._-]`, ≤64 chars), so the join cannot escape
-//! `DIR`.
+//! source journals under its own subdirectory (`DIR/<source-id>`, or
+//! `DIR/session:<n>` for a plain sender), so a server run is resumable per
+//! source with the same byte-identical-output guarantee an offline
+//! `--journal` run has. Source ids are validated at the wire
+//! (`[A-Za-z0-9._-]`, ≤64 chars) and implicit names are server-made, so the
+//! join cannot escape `DIR`.
 
 use crate::arch::ArchConfig;
 use crate::live::{LivePipeline, SharedOutput};

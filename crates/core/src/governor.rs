@@ -23,8 +23,11 @@
 //!
 //! Because shedding changes the emitted records, the governor is opt-in
 //! (`ArchConfig::governor`); ungoverned runs keep the byte-identical
-//! determinism contract. `force_level` pins the ladder for deterministic
-//! tests and the `--governor LEVEL` CLI flag.
+//! determinism contract. Within a governor, the CPU-ratio ladder is opt-in
+//! too: [`GovernorConfig::default`] leaves it off ([`GovernorConfig::cpu`]
+//! is `None`), and [`GovernorConfig::cpu_adaptive`] — `--governor auto` —
+//! arms it. `force_level` pins the ladder for deterministic tests and the
+//! `--governor LEVEL` CLI flag.
 //!
 //! # Bounded-latency mode
 //!
@@ -40,7 +43,10 @@
 //! do the record-visible shed levels engage. Recovery retraces the ladder
 //! in reverse with hysteresis (several consecutive clean windows per
 //! step). CPU-ratio behaviour is completely unchanged when no budget is
-//! set.
+//! set. A budget alone arms only this latency ladder: a config built as
+//! `GovernorConfig { latency_budget_us: Some(..), ..Default::default() }`
+//! has no CPU ladder, so a loaded host falling behind real time cannot
+//! shed records an unviolated budget promised to leave alone.
 
 use rfd_telemetry::event::EventKind;
 use rfd_telemetry::json::JsonValue;
@@ -55,14 +61,33 @@ pub const MAX_LEVEL: u8 = 2;
 /// Human names for the ladder rungs, indexed by level.
 pub const LEVEL_NAMES: [&str; 3] = ["nominal", "shed-demod", "shed-detectors"];
 
-/// Governor knobs.
+/// Watermarks of the CPU-ratio ladder: the smoothed real-time ratio (wall
+/// time over signal time) that walks the shed level up and down.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GovernorConfig {
-    /// Smoothed real-time ratio above which the governor escalates one
-    /// level (1.0 = falling behind real time).
+pub struct CpuLadder {
+    /// Ratio above which the governor escalates one level (1.0 = falling
+    /// behind real time).
     pub high_water: f64,
     /// Ratio below which it de-escalates one level.
     pub low_water: f64,
+}
+
+impl Default for CpuLadder {
+    fn default() -> Self {
+        Self {
+            high_water: 1.0,
+            low_water: 0.7,
+        }
+    }
+}
+
+/// Governor knobs. The default arms nothing: no CPU ladder, no latency
+/// budget. Use [`GovernorConfig::cpu_adaptive`] for the CPU ladder.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct GovernorConfig {
+    /// The CPU-ratio ladder; `None` means the real-time ratio is still
+    /// tracked and reported but never moves the shed level.
+    pub cpu: Option<CpuLadder>,
     /// EWMA smoothing factor for the observed ratio (0 < alpha ≤ 1).
     pub alpha: f64,
     /// Pin the shed level instead of adapting (deterministic runs).
@@ -81,13 +106,23 @@ pub struct GovernorConfig {
 impl Default for GovernorConfig {
     fn default() -> Self {
         Self {
-            high_water: 1.0,
-            low_water: 0.7,
+            cpu: None,
             alpha: 0.2,
             force_level: None,
             latency_budget_us: None,
             chunk_min: DEFAULT_CHUNK_MIN,
             chunk_max: DEFAULT_CHUNK_MAX,
+        }
+    }
+}
+
+impl GovernorConfig {
+    /// The adaptive governor (`--governor auto`): the CPU-ratio ladder
+    /// armed with its default watermarks.
+    pub fn cpu_adaptive() -> Self {
+        Self {
+            cpu: Some(CpuLadder::default()),
+            ..Self::default()
         }
     }
 }
@@ -104,10 +139,9 @@ const VIOLATE_STREAK: u32 = 2;
 /// shedding.
 const RESTORE_STREAK: u32 = 4;
 /// Fraction of the budget a window's p99 must stay under to count as
-/// clean. Deliberately its own constant, not `GovernorConfig::low_water`:
-/// the CPU-ratio watermarks may be parked out of reach (the CLI does so
-/// when a budget is set without an explicit `--governor`) and the latency
-/// ladder's hysteresis must keep working regardless.
+/// clean. Deliberately its own constant, not [`CpuLadder::low_water`]: a
+/// budget usually runs without a CPU ladder, and the latency ladder's
+/// hysteresis must keep working regardless.
 const LATENCY_LOW_WATER: f64 = 0.7;
 
 /// What one latency tick decided, so the caller can emit typed events.
@@ -427,24 +461,28 @@ impl LoadGovernor {
         };
         // Bound the memory of overload: one pathological observation must
         // not take unboundedly long to decay back below the low-water mark.
-        let smoothed = smoothed.min(self.cfg.high_water * 8.0);
+        let smoothed = match self.cfg.cpu {
+            Some(cpu) => smoothed.min(cpu.high_water * 8.0),
+            None => smoothed,
+        };
         self.ratio_micro
             .store((smoothed * 1e6) as u64, Ordering::Relaxed);
+        let cpu = self.cfg.cpu?;
         let cur = self.level.load(Ordering::Relaxed);
-        if smoothed > self.cfg.high_water && cur < MAX_LEVEL {
+        if smoothed > cpu.high_water && cur < MAX_LEVEL {
             self.level.store(cur + 1, Ordering::Relaxed);
             self.escalations.fetch_add(1, Ordering::Relaxed);
             // Re-anchor the smoothed ratio at the boundary so one spike
             // does not climb the whole ladder in consecutive observations.
             self.ratio_micro
-                .store((self.cfg.high_water * 1e6) as u64, Ordering::Relaxed);
+                .store((cpu.high_water * 1e6) as u64, Ordering::Relaxed);
             return Some((cur, cur + 1));
         }
-        if smoothed < self.cfg.low_water && cur > 0 {
+        if smoothed < cpu.low_water && cur > 0 {
             self.level.store(cur - 1, Ordering::Relaxed);
             self.deescalations.fetch_add(1, Ordering::Relaxed);
             self.ratio_micro
-                .store((self.cfg.low_water * 1e6) as u64, Ordering::Relaxed);
+                .store((cpu.low_water * 1e6) as u64, Ordering::Relaxed);
             return Some((cur, cur - 1));
         }
         None
@@ -602,7 +640,7 @@ mod tests {
 
     #[test]
     fn ladder_sheds_demod_before_detectors_and_recovers() {
-        let g = LoadGovernor::new(GovernorConfig::default());
+        let g = LoadGovernor::new(GovernorConfig::cpu_adaptive());
         assert!(g.demod_allowed());
         assert!(g.detector_allowed("wifi-phase"));
         // Tiny signal progress against real elapsed wall time → ratio ≫ 1.
@@ -735,20 +773,19 @@ mod tests {
 
     #[test]
     fn parked_cpu_watermarks_leave_the_latency_ladder_fully_functional() {
-        // The CLI parks the ratio watermarks when a budget is set without
-        // an explicit --governor: CPU observations must then never move
-        // the ladder, while the latency ladder sheds and recovers as ever.
+        // A budget built on the default config has no CPU ladder: CPU
+        // observations must never move the level, while the latency
+        // ladder sheds and recovers as ever.
         let g = LoadGovernor::new(GovernorConfig {
             latency_budget_us: Some(1_000.0),
             chunk_min: 50,
-            high_water: f64::INFINITY,
-            low_water: 0.0,
             ..Default::default()
         });
         g.init_chunk(200);
         std::thread::sleep(std::time::Duration::from_millis(2));
         assert_eq!(g.observe(1.0), None, "hopeless ratio cannot escalate");
         assert_eq!(g.level(), 0);
+        assert!(g.report().ratio > 1.0, "the ratio is still reported");
         for _ in 0..12 {
             violating_tick(&g);
         }

@@ -50,11 +50,6 @@ impl LivePipeline {
         self
     }
 
-    /// The slot that receives each completed session's architecture output.
-    pub fn shared_output(&self) -> SharedOutput {
-        self.output.clone()
-    }
-
     /// Replaces the output slot with an externally owned one, so several
     /// pipeline instances (one per fleet source) can deposit into a single
     /// slot the serving CLI drains after shutdown. Last writer wins.
@@ -129,7 +124,8 @@ mod tests {
             durability: None,
         };
         let offline = crate::arch::run_architecture(&cfg, &samples, fs);
-        let mut live = LivePipeline::new(cfg);
+        let slot: SharedOutput = Arc::new(Mutex::new(None));
+        let mut live = LivePipeline::new(cfg).with_output(slot.clone());
         let meta = StreamMeta {
             sample_rate: fs,
             center_hz: 0.0,
@@ -141,7 +137,7 @@ mod tests {
             assert_eq!(msg.line, rec.format_line());
         }
         assert!(
-            live.shared_output().lock().unwrap().is_some(),
+            slot.lock().unwrap().is_some(),
             "session output must be deposited"
         );
     }

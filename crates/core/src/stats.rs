@@ -46,8 +46,9 @@
 //!   rollups `sources_joined` / `sources_done` / `rejects` plus a
 //!   `per_source` object keyed by source id — ingest, records, drops,
 //!   throttles and fan-out latency p50/p99 per source, keys sorted; null
-//!   unless the run was a `serve --fleet` server). This comment is the
-//!   single authoritative record of the v7→v8 bump.
+//!   for offline runs). Every `serve` run fills it; a plain sender appears
+//!   as an implicit `session:<n>` source. This comment is the single
+//!   authoritative record of the v7→v8 bump.
 //! * **9** — fleet survivability: the `fleet` section gains session-resume
 //!   and health rollups (`resumes`, `sources_parked`, `sources_expired`,
 //!   `flapping`, `quarantined`, `evicted`) and each `per_source` row gains
@@ -85,31 +86,20 @@ fn stage_of(block_name: &str) -> &str {
 }
 
 /// Builds the versioned stats document for a finished architecture run
-/// (offline: the `net` section is null). Live servers use
-/// [`stats_json_with_net`].
+/// (offline: the `net` and `fleet` sections are null). Servers use
+/// [`stats_json_with_fleet`].
 pub fn stats_json(out: &ArchOutput) -> JsonValue {
-    stats_json_with_net(out, None)
+    stats_doc(out, None)
 }
 
-/// Builds the versioned stats document, attaching live server statistics
-/// as the `net` section when present.
-pub fn stats_json_with_net(out: &ArchOutput, net: Option<&rfd_net::NetStatsSnapshot>) -> JsonValue {
-    stats_json_full(out, net, None)
-}
-
-/// Builds the versioned stats document for a fleet server run: the fleet's
+/// Builds the versioned stats document for a server run: the server's
 /// wire-level rollup becomes the `net` section and the per-source
 /// aggregation the `fleet` section.
 pub fn stats_json_with_fleet(out: &ArchOutput, fleet: &rfd_net::FleetSnapshot) -> JsonValue {
-    stats_json_full(out, Some(&fleet.net), Some(fleet))
+    stats_doc(out, Some(fleet))
 }
 
-/// Builds the versioned stats document with every optional live section.
-pub fn stats_json_full(
-    out: &ArchOutput,
-    net: Option<&rfd_net::NetStatsSnapshot>,
-    fleet: Option<&rfd_net::FleetSnapshot>,
-) -> JsonValue {
+fn stats_doc(out: &ArchOutput, fleet: Option<&rfd_net::FleetSnapshot>) -> JsonValue {
     let total_samples = (out.trace_seconds * out.sample_rate).round();
     let wall_s = out.stats.wall.as_secs_f64();
 
@@ -265,17 +255,17 @@ pub fn stats_json_full(
         }
     }
 
-    // Live capture server statistics (null for offline runs).
-    match net {
-        None => doc.push("net", JsonValue::Null),
-        Some(snap) => doc.push("net", snap.to_json()),
-    }
-
-    // Sharded multi-sensor ingest rollups (v8; null unless the run was a
-    // fleet server).
+    // Live capture server statistics and per-source ingest rollups (v3 and
+    // v8; null for offline runs).
     match fleet {
-        None => doc.push("fleet", JsonValue::Null),
-        Some(snap) => doc.push("fleet", snap.to_json()),
+        None => {
+            doc.push("net", JsonValue::Null);
+            doc.push("fleet", JsonValue::Null);
+        }
+        Some(snap) => {
+            doc.push("net", snap.net.to_json());
+            doc.push("fleet", snap.to_json());
+        }
     }
 
     // The DSP kernel backend the run executed with (v7).
@@ -695,7 +685,11 @@ mod tests {
             ingest_wall_us: 5_000,
             ..Default::default()
         };
-        let doc_text = stats_json_with_net(&fake_output(), Some(&snap)).to_json();
+        let fleet = rfd_net::FleetSnapshot {
+            net: snap,
+            ..Default::default()
+        };
+        let doc_text = stats_json_with_fleet(&fake_output(), &fleet).to_json();
         let doc = rfd_telemetry::json::parse(&doc_text).unwrap();
         let net = doc.get("net").unwrap();
         assert_eq!(net.get("sessions").unwrap().as_f64(), Some(1.0));

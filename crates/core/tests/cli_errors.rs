@@ -119,34 +119,9 @@ fn serve_on_invalid_address_fails_cleanly() {
 }
 
 #[test]
-fn serve_expect_without_fleet_is_rejected() {
-    let out = rfdump(&["serve", "--listen", "127.0.0.1:0", "--expect", "3"]);
-    assert_eq!(out.status.code(), Some(2), "usage errors exit 2");
-    assert_clean_failure(&out, "--expect without --fleet", "--expect needs --fleet");
-}
-
-#[test]
-fn serve_source_timeout_without_fleet_is_rejected() {
-    let out = rfdump(&["serve", "--listen", "127.0.0.1:0", "--source-timeout", "30"]);
-    assert_eq!(out.status.code(), Some(2), "usage errors exit 2");
-    assert_clean_failure(
-        &out,
-        "--source-timeout without --fleet",
-        "--source-timeout needs --fleet",
-    );
-}
-
-#[test]
 fn serve_fleet_with_invalid_source_timeout_is_rejected() {
     for bad in ["0", "-3", "soon", ""] {
-        let out = rfdump(&[
-            "serve",
-            "--listen",
-            "127.0.0.1:0",
-            "--fleet",
-            "--source-timeout",
-            bad,
-        ]);
+        let out = rfdump(&["serve", "--listen", "127.0.0.1:0", "--source-timeout", bad]);
         assert_eq!(
             out.status.code(),
             Some(2),
@@ -249,24 +224,6 @@ fn latency_budget_with_naive_architecture_is_rejected() {
         &out,
         "budget with naive arch",
         "--latency-budget requires the rfdump architecture",
-    );
-}
-
-#[test]
-fn serve_latency_budget_with_once_is_rejected() {
-    let out = rfdump(&[
-        "serve",
-        "--listen",
-        "127.0.0.1:0",
-        "--once",
-        "--latency-budget",
-        "50",
-    ]);
-    assert_eq!(out.status.code(), Some(2), "usage errors exit 2");
-    assert_clean_failure(
-        &out,
-        "budget with --once",
-        "--latency-budget is incompatible with --once",
     );
 }
 

@@ -177,7 +177,7 @@ impl RunStats {
         };
         let mut s = format!(
             "{:<width$}   {:>8} {:>9} {:>9} {:>8}\n",
-            "block", "cpu_ms", "in", "out", "cpu/rt"
+            "block", "cpu_ms", "in", "out", "cpu/wall"
         );
         let mut in_total = 0u64;
         let mut out_total = 0u64;
@@ -776,7 +776,7 @@ mod tests {
         // total cpu = 40 ms over 100 ms wall => ratio 0.400.
         assert!(lines[3].contains("0.400"), "total row: {}", lines[3]);
         assert!(lines[4].contains("100.00"), "wall row: {}", lines[4]);
-        assert!(lines[0].contains("cpu/rt"));
+        assert!(lines[0].contains("cpu/wall"));
     }
 
     #[test]

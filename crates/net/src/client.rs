@@ -162,11 +162,10 @@ impl TraceSender {
 
     /// Connects as a fleet capture sender: the stream opens with a
     /// `SourceHello` binding it to the stable source id `source` (validated
-    /// here, so a bad id fails before any bytes hit the wire). Requires a
-    /// fleet-mode server (`rfdump serve --fleet`). A sender that reconnects
-    /// and re-handshakes with the same id resumes its session from the
-    /// server's acknowledged position (see [`ResilientSender::with_source`]
-    /// for the automatic version).
+    /// here, so a bad id fails before any bytes hit the wire). A sender
+    /// that reconnects and re-handshakes with the same id resumes its
+    /// session from the server's acknowledged position (see
+    /// [`ResilientSender::with_source`] for the automatic version).
     pub fn connect_source<A: ToSocketAddrs>(addr: A, source: &str) -> io::Result<Self> {
         crate::frame::validate_source_id(source).map_err(io::Error::from)?;
         let mut tx = Self::connect(addr)?;

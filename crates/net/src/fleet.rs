@@ -1,26 +1,29 @@
-//! The fleet plane: one server, N concurrent capture senders, one merged
-//! record stream.
+//! The ingest server: N concurrent capture senders, one pipeline per
+//! source, one merged record stream.
 //!
 //! ```text
-//!  sender "roof"  ──TCP──▶ ┐                        ┌─▶ pipeline("roof")  ─┐
-//!  sender "lab-3" ──TCP──▶ ├─ readiness loop ──────▶├─▶ pipeline("lab-3") ─┼─▶ RecordHub
-//!  sender "van"   ──TCP──▶ ┘  (one thread,          └─▶ pipeline("van")   ─┘  (tagged)
+//!  sender "roof"  ──TCP──▶ ┐                        ┌─▶ pipeline("roof")      ─┐
+//!  plain sender   ──TCP──▶ ├─ readiness loop ──────▶├─▶ pipeline("session:2") ─┼─▶ RecordHub
+//!  sender "van"   ──TCP──▶ ┘  (one thread,          └─▶ pipeline("van")       ─┘
 //!                             nonblocking sockets)
-//!  subscriber ◀──TCP── per-sub bounded queue ◀──────────────────────────────────┘
+//!  subscriber ◀──TCP── per-sub bounded queue ◀──────────────────────────────────────┘
 //! ```
 //!
-//! Where [`Server`](crate::Server) dedicates a blocking thread to every
-//! connection and serializes all sessions through one shared pipeline, the
-//! fleet server is built for *many concurrent senders*:
+//! Every producer connection, named or not, becomes a *source*:
 //!
 //! * **One readiness loop** owns every producer socket. Sockets are
 //!   nonblocking; the loop polls them round-robin (the same std-only
 //!   poll-style the obs scrape endpoint uses — no epoll dependency), so a
 //!   hundred senders cost one thread, not a hundred.
-//! * **A source handshake** ([`Frame::SourceHello`]) binds each connection
-//!   to a stable source id. Ids are unique for the life of the server — a
-//!   second claim on a live or parked id is treated as the same sensor
-//!   reconnecting (resume), while a completed or evicted id is refused.
+//! * **Two source handshakes.** A [`Frame::SourceHello`] binds the
+//!   connection to a stable source id. Ids are unique for the life of the
+//!   server — a second claim on a live or parked id is treated as the same
+//!   sensor reconnecting (resume), while a completed or evicted id is
+//!   refused. A bare [`Frame::StreamMeta`] (a plain `send`) admits an
+//!   *implicit* source named `session:<n>` after its server-assigned
+//!   session number; `:` is outside the source-id alphabet, so no tagged
+//!   sender can claim it. A plain sender resumes with
+//!   [`Frame::Resume`]`{ session, .. }` instead of a source id.
 //! * **Per-source sharding**: every source gets its own bounded
 //!   [`ChunkQueue`] and its own [`Pipeline`] instance from the injected
 //!   factory, drained by its own analysis thread. Sources never contend on
@@ -32,22 +35,24 @@
 //!   being serviced.
 //! * **Tagged fan-out**: records enter the [`RecordHub`] as
 //!   [`HubMsg::SourceRecord`] so subscribers (and `rfdump watch --source`)
-//!   can filter per source.
+//!   can filter per source. An implicit source publishes untagged instead —
+//!   [`HubMsg::Meta`], its [`HubMsg::Record`]s, then an end-of-session
+//!   [`HubMsg::Stats`] — the stream a plain subscriber has always read.
 //!
 //! # Per-source resume
 //!
 //! A producer that dies without a clean Bye does not lose its session.
 //! The source is *parked* for [`FleetConfig::resume_grace`]: its ingest
 //! queue stays open and its analysis thread keeps blocking on the queue. A
-//! sender that reconnects and re-handshakes with the same source id is
-//! reattached — the server answers the [`Frame::SourceHello`] with an
-//! [`Frame::Ack`] carrying the contiguous ingest high-water mark, the
-//! client seeks to that position, and any overlap it resends is deduped by
-//! the same contiguity accounting an uninterrupted session uses. The
-//! per-source record stream is therefore byte-identical to a run that never
-//! dropped. Ack positions are truthful: the high-water mark only advances
-//! when a chunk is actually committed to the source queue, so a chunk
-//! parked by backpressure is never covered by an ack it could lose.
+//! sender that reconnects and re-handshakes with the same source id (or,
+//! plain, with a Resume for its session number) is reattached — the server
+//! answers with an [`Frame::Ack`] carrying the contiguous ingest high-water
+//! mark, the client seeks to that position, and any overlap it resends is
+//! deduped by the same contiguity accounting an uninterrupted session uses.
+//! The per-source record stream is therefore byte-identical to a run that
+//! never dropped. Ack positions are truthful: the high-water mark only
+//! advances when a chunk is actually committed to the source queue, so a
+//! chunk parked by backpressure is never covered by an ack it could lose.
 //!
 //! A reconnect that lands *before* the loop notices the old socket died is
 //! a takeover: every attach bumps the source's epoch, and a connection
@@ -113,15 +118,15 @@
 //! (disconnect / corrupt / slow one source's read path), and
 //! `net.fleet.analysis.<id>` (slow/cpu-starve one source's consumer per
 //! popped chunk — the overload knob for bounded-latency chaos tests), in
-//! addition to the `net.server.read` site shared with the single-stream
-//! server.
+//! addition to the `net.server.read` site every producer read consults.
 //!
 //! Determinism: each source's samples are accumulated contiguously and
 //! analyzed by a private pipeline exactly like an offline run of that trace
 //! alone, and its records are published in one burst (meta, records in
-//! offline order, source-bye) under the hub lock per message with no
-//! interleaving *within* a source. A filtered subscriber therefore sees a
-//! byte-identical record stream to `rfdump -r trace` at any worker count.
+//! offline order, source-bye or stats) under the hub lock per message with
+//! no interleaving *within* a source. A filtered subscriber (or, for an
+//! implicit source, the untagged stream) therefore sees a byte-identical
+//! record stream to `rfdump -r trace` at any worker count.
 //! Merge order *between* sources is arrival order and intentionally
 //! unspecified.
 
@@ -145,8 +150,7 @@ use std::time::{Duration, Instant};
 /// source).
 pub type PipelineFactory = Box<dyn Fn(&str) -> Box<dyn Pipeline> + Send + Sync>;
 
-/// Send a producer an Ack every this many ingested chunks (matches the
-/// single-stream server).
+/// Send a producer an Ack every this many ingested chunks.
 const ACK_EVERY: u64 = 16;
 
 /// Idle sleep between readiness sweeps when no socket made progress.
@@ -188,8 +192,9 @@ pub struct FleetConfig {
     pub overflow: OverflowPolicy,
     /// Per-subscriber record queue capacity (slow-consumer eviction bound).
     pub sub_queue_cap: usize,
-    /// Shut down cleanly after this many sources complete (bounded runs:
-    /// tests, CI, benchmarks). `None` runs until [`FleetHandle::shutdown`].
+    /// Shut down cleanly after this many sources — tagged or implicit —
+    /// complete (bounded runs: tests, CI, benchmarks). `None` runs until
+    /// [`FleetHandle::shutdown`].
     pub expect: Option<u64>,
     /// Idle interval after which a subscriber connection gets a Heartbeat.
     pub heartbeat: Duration,
@@ -291,6 +296,8 @@ impl SourceHealth {
 /// and its analysis thread (publish side), read by stats snapshots.
 struct SourceShared {
     name: Arc<str>,
+    /// Admitted by a bare StreamMeta: publishes untagged hub messages.
+    implicit: bool,
     meta: StreamMeta,
     /// Ingest queue. Items carry their commit instant so the analysis
     /// thread can record queue wait into the deadline histogram.
@@ -479,7 +486,7 @@ impl SourceSnapshot {
 
 /// Point-in-time fleet statistics: the wire-level rollup plus one
 /// [`SourceSnapshot`] per source, sorted by source id.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FleetSnapshot {
     /// Wire-level statistics (the stats-json `net` section).
     pub net: NetStatsSnapshot,
@@ -595,8 +602,8 @@ struct FleetInner {
     /// Sources awaiting a reconnect, with their eviction deadline.
     parked: Mutex<BTreeMap<Arc<str>, Instant>>,
     registry: Option<Arc<Registry>>,
-    /// `latency.net_fanout_us`, shared with the single-stream server's
-    /// layout so dashboards see one family either way.
+    /// `latency.net_fanout_us`: duration of one record publish call, in
+    /// the core stage histograms' bucket layout.
     fanout_hist: Option<Arc<Histogram>>,
     active_gauge: Option<Arc<Gauge>>,
     parked_gauge: Option<Arc<Gauge>>,
@@ -715,7 +722,8 @@ pub struct FleetServer {
 enum ConnState {
     /// Nothing received yet; first frame must be a Hello.
     Await,
-    /// Hello(Producer) received; next frame must be a SourceHello.
+    /// Hello(Producer) received; next frame must open a stream
+    /// (SourceHello, bare StreamMeta) or resume one (Resume).
     Producer,
     /// Streaming samples for a registered source.
     Streaming(Arc<SourceShared>),
@@ -998,11 +1006,7 @@ impl FleetServer {
             g.set(0);
         }
         for name in parked {
-            let src = {
-                let map = inner.sources.lock().unwrap_or_else(|e| e.into_inner());
-                map.get(&name).cloned()
-            };
-            if let Some(src) = src {
+            if let Some(src) = lookup(inner, &name) {
                 finalize_source(inner, &src);
             }
         }
@@ -1092,11 +1096,7 @@ fn sweep_parked(inner: &Arc<FleetInner>) {
     for name in expired {
         inner.stats.sessions_expired.add(1);
         inner.expired.fetch_add(1, Ordering::Relaxed);
-        let src = {
-            let map = inner.sources.lock().unwrap_or_else(|e| e.into_inner());
-            map.get(&name).cloned()
-        };
-        if let Some(src) = src {
+        if let Some(src) = lookup(inner, &name) {
             raise_health(inner, &src, SourceHealth::Evicted, "resume grace expired");
             finalize_source(inner, &src);
         }
@@ -1559,52 +1559,16 @@ fn process_frames(
                 return Some(Verdict::Subscriber(t));
             }
             (Stage::Producer, Frame::SourceHello { source, meta }) => {
-                match admit_source(inner, &source, meta) {
-                    Admission::New(src) => {
-                        // Spawn the source's private analysis thread.
-                        let t = {
-                            let inner = inner.clone();
-                            let src = src.clone();
-                            std::thread::Builder::new()
-                                .name(format!("rfd-fleet-{source}"))
-                                .spawn(move || analysis_thread(inner, src))
-                                .expect("spawn fleet analysis thread")
-                        };
-                        analysis_threads.push(t);
-                        // Anchor the sender at position zero.
-                        inner.stats.acks_sent.add(1);
-                        c.queue_frame(
-                            &inner.stats,
-                            &Frame::Ack {
-                                session: src.session,
-                                position: 0,
-                            },
-                        );
-                        c.epoch = src.epoch.load(Ordering::SeqCst);
-                        c.state = ConnState::Streaming(src);
-                    }
-                    Admission::Resumed(src) => {
-                        // Reattach: the authoritative ack carries the
-                        // committed high-water mark; the client seeks to it
-                        // and the contiguity accounting dedupes overlap.
-                        inner.stats.acks_sent.add(1);
-                        c.queue_frame(
-                            &inner.stats,
-                            &Frame::Ack {
-                                session: src.session,
-                                position: src.expected.load(Ordering::SeqCst),
-                            },
-                        );
-                        c.epoch = src.epoch.load(Ordering::SeqCst);
-                        c.chunks_since_ack = 0;
-                        c.state = ConnState::Streaming(src);
-                    }
-                    Admission::Refused => {
-                        inner.rejects.fetch_add(1, Ordering::Relaxed);
-                        c.queue_frame(&inner.stats, &Frame::Bye);
-                        c.closing = true;
-                    }
-                }
+                let admission = admit_source(inner, &source, meta);
+                attach(inner, c, admission, analysis_threads);
+            }
+            (Stage::Producer, Frame::StreamMeta(meta)) => {
+                let admission = admit_new(inner, None, meta);
+                attach(inner, c, admission, analysis_threads);
+            }
+            (Stage::Producer, Frame::Resume { session, .. }) => {
+                let admission = admit_resume(inner, session);
+                attach(inner, c, admission, analysis_threads);
             }
             (Stage::Streaming, Frame::SampleChunk { start_sample, iq }) => {
                 let src = src.expect("streaming state carries its source");
@@ -1653,46 +1617,123 @@ fn process_frames(
     }
 }
 
-/// What a SourceHello earned.
+/// What a stream-opening or resuming handshake earned.
 enum Admission {
     /// A brand-new source: registered and announced.
     New(Arc<SourceShared>),
     /// A known live or parked source reattaching (resume / takeover).
     Resumed(Arc<SourceShared>),
-    /// Completed, quarantined or evicted id — refused with a Bye.
+    /// Completed, quarantined, evicted or unknown — refused with a Bye.
     Refused,
+}
+
+/// Binds a producer connection to the source its handshake was admitted
+/// to: a new source gets its private analysis thread and an Ack at zero, a
+/// reattached one an Ack at its committed high-water mark (the client
+/// seeks there and the contiguity accounting dedupes any overlap), and a
+/// refusal a Bye.
+fn attach(
+    inner: &Arc<FleetInner>,
+    c: &mut Conn,
+    admission: Admission,
+    analysis_threads: &mut Vec<std::thread::JoinHandle<()>>,
+) {
+    let src = match admission {
+        Admission::New(src) => {
+            let t = {
+                let inner = inner.clone();
+                let src = src.clone();
+                std::thread::Builder::new()
+                    .name(format!("rfd-fleet-{}", src.name))
+                    .spawn(move || analysis_thread(inner, src))
+                    .expect("spawn fleet analysis thread")
+            };
+            analysis_threads.push(t);
+            src
+        }
+        Admission::Resumed(src) => {
+            c.chunks_since_ack = 0;
+            src
+        }
+        Admission::Refused => {
+            inner.rejects.fetch_add(1, Ordering::Relaxed);
+            c.queue_frame(&inner.stats, &Frame::Bye);
+            c.closing = true;
+            return;
+        }
+    };
+    inner.stats.acks_sent.add(1);
+    c.queue_frame(
+        &inner.stats,
+        &Frame::Ack {
+            session: src.session,
+            position: src.expected.load(Ordering::SeqCst),
+        },
+    );
+    c.epoch = src.epoch.load(Ordering::SeqCst);
+    c.state = ConnState::Streaming(src);
+}
+
+/// The source a connection may open: a fresh id, or an implicit source
+/// (`None`) for a plain producer. While the fleet is over its latency
+/// budget, new sources are refused (overload admission control). Resumes
+/// never come through here: refusing one would turn a transient overload
+/// into data loss.
+fn admit_new(inner: &Arc<FleetInner>, source: Option<&str>, meta: StreamMeta) -> Admission {
+    if inner.admission_paused.load(Ordering::SeqCst) {
+        inner.admission_refused.fetch_add(1, Ordering::Relaxed);
+        if let Some(ctr) = &inner.admission_refused_ctr {
+            ctr.add(1);
+        }
+        inner.emit(
+            rfd_telemetry::event::EventKind::AdmissionRefused,
+            format!(
+                "source {} refused: fleet over latency budget",
+                source.unwrap_or("(plain session)")
+            ),
+        );
+        return Admission::Refused;
+    }
+    register_source(inner, source, meta)
+}
+
+/// The registered source called `name`, if any.
+fn lookup(inner: &FleetInner, name: &str) -> Option<Arc<SourceShared>> {
+    let map = inner.sources.lock().unwrap_or_else(|e| e.into_inner());
+    map.get(name).cloned()
 }
 
 /// Admits a SourceHello: a fresh id registers, a known id resumes (parked)
 /// or takes over (still live — newest connection wins), and a retired or
 /// quarantined id is refused.
 fn admit_source(inner: &Arc<FleetInner>, source: &str, meta: StreamMeta) -> Admission {
-    let existing = {
-        let map = inner.sources.lock().unwrap_or_else(|e| e.into_inner());
-        map.get(source).cloned()
-    };
-    let src = match existing {
-        None => {
-            // Overload admission control: while the fleet is over its
-            // latency budget, brand-new ids are refused. Known sources
-            // resuming fall through — refusing a resume would turn a
-            // transient overload into data loss.
-            if inner.admission_paused.load(Ordering::SeqCst) {
-                inner.admission_refused.fetch_add(1, Ordering::Relaxed);
-                if let Some(ctr) = &inner.admission_refused_ctr {
-                    ctr.add(1);
-                }
-                inner.emit(
-                    rfd_telemetry::event::EventKind::AdmissionRefused,
-                    format!("source {source} refused: fleet over latency budget"),
-                );
-                return Admission::Refused;
-            }
-            return register_source(inner, source, meta);
-        }
-        Some(src) => src,
-    };
+    match lookup(inner, source) {
+        None => admit_new(inner, Some(source), meta),
+        Some(src) => reattach(inner, src),
+    }
+}
 
+/// Admits a plain producer's Resume: the implicit source of `session`
+/// reattaches exactly like a tagged source re-sending its SourceHello; any
+/// other session number is unknown and refused.
+fn admit_resume(inner: &Arc<FleetInner>, session: u64) -> Admission {
+    match lookup(inner, &implicit_source_name(session)) {
+        Some(src) => reattach(inner, src),
+        None => Admission::Refused,
+    }
+}
+
+/// The name of the implicit source a plain producer's session `session`
+/// runs as. `:` is outside the source-id alphabet, so no SourceHello can
+/// claim it.
+fn implicit_source_name(session: u64) -> String {
+    format!("session:{session}")
+}
+
+/// Reattaches a known source to a new connection: resumes it when parked,
+/// takes it over when its old connection is still attached, and refuses it
+/// when its stream is over or its health rules it out.
+fn reattach(inner: &Arc<FleetInner>, src: Arc<SourceShared>) -> Admission {
     // Quarantined / evicted ids are refused; persistent hammering on a
     // quarantined id evicts it outright.
     if src.health() >= SourceHealth::Quarantined {
@@ -1719,7 +1760,7 @@ fn admit_source(inner: &Arc<FleetInner>, source: &str, meta: StreamMeta) -> Admi
 
     let was_parked = {
         let mut map = inner.parked.lock().unwrap_or_else(|e| e.into_inner());
-        let hit = map.remove(source).is_some();
+        let hit = map.remove(&src.name).is_some();
         if hit {
             if let Some(g) = &inner.parked_gauge {
                 g.set(map.len() as i64);
@@ -1757,13 +1798,18 @@ fn admit_source(inner: &Arc<FleetInner>, source: &str, meta: StreamMeta) -> Admi
     Admission::Resumed(src)
 }
 
-/// Registers a new source: creates its queue, shared state and per-source
-/// metrics, and announces it on the hub.
-fn register_source(inner: &Arc<FleetInner>, source: &str, meta: StreamMeta) -> Admission {
-    let name: Arc<str> = Arc::from(source);
-    let reg = inner.registry.as_deref();
+/// Registers a new source — tagged with `source`, or implicit when `None`
+/// — creates its queue, shared state and per-source metrics, and announces
+/// it on the hub.
+fn register_source(inner: &Arc<FleetInner>, source: Option<&str>, meta: StreamMeta) -> Admission {
     let session = inner.sources_joined.fetch_add(1, Ordering::SeqCst) + 1;
+    let name: Arc<str> = match source {
+        Some(id) => Arc::from(id),
+        None => Arc::from(implicit_source_name(session)),
+    };
+    let reg = inner.registry.as_deref();
     let src = Arc::new(SourceShared {
+        implicit: source.is_none(),
         meta,
         queue: ChunkQueue::new(inner.cfg.queue_cap, inner.cfg.overflow),
         session,
@@ -1785,7 +1831,7 @@ fn register_source(inner: &Arc<FleetInner>, source: &str, meta: StreamMeta) -> A
         flaps: AtomicU64::new(0),
         decode_errors: AtomicU64::new(0),
         rejects: AtomicU64::new(0),
-        chaos_site: format!("net.fleet.source.{source}"),
+        chaos_site: format!("net.fleet.source.{name}"),
         fanout: Histogram::exponential(1.0, 1e7, 28),
         deadline: Histogram::exponential(1.0, 1e7, 28),
         deadline_win: Mutex::new(HistogramWindow::new()),
@@ -1794,9 +1840,9 @@ fn register_source(inner: &Arc<FleetInner>, source: &str, meta: StreamMeta) -> A
         shed_violate: AtomicU32::new(0),
         shed_clean: AtomicU32::new(0),
         shed_throttle_pending: AtomicBool::new(false),
-        queue_gauge: reg.map(|r| r.gauge(&format!("net.fleet.source.{source}.queue_depth"))),
-        samples_ctr: reg.map(|r| r.counter(&format!("net.fleet.source.{source}.samples_in"))),
-        records_ctr: reg.map(|r| r.counter(&format!("net.fleet.source.{source}.records"))),
+        queue_gauge: reg.map(|r| r.gauge(&format!("net.fleet.source.{name}.queue_depth"))),
+        samples_ctr: reg.map(|r| r.counter(&format!("net.fleet.source.{name}.samples_in"))),
+        records_ctr: reg.map(|r| r.counter(&format!("net.fleet.source.{name}.records"))),
         name: name.clone(),
     });
     {
@@ -1810,7 +1856,11 @@ fn register_source(inner: &Arc<FleetInner>, source: &str, meta: StreamMeta) -> A
         rfd_telemetry::event::EventKind::SourceJoined,
         format!("source {name} joined ({:.3} Msps)", meta.sample_rate / 1e6),
     );
-    inner.hub.publish(HubMsg::SourceMeta { source: name, meta });
+    inner.hub.publish(if src.implicit {
+        HubMsg::Meta(meta)
+    } else {
+        HubMsg::SourceMeta { source: name, meta }
+    });
     Admission::New(src)
 }
 
@@ -1953,8 +2003,8 @@ fn commit_chunk(
 }
 
 /// One source's analysis thread: accumulate the contiguous sample stream,
-/// run the source's private pipeline when the stream ends, publish tagged
-/// records (offline order) and the source's Bye.
+/// run the source's private pipeline when the stream ends, publish its
+/// records (offline order) and the end of its stream.
 fn analysis_thread(inner: Arc<FleetInner>, src: Arc<SourceShared>) {
     let analysis_site = format!("net.fleet.analysis.{}", src.name);
     let mut samples: Vec<Complex32> = Vec::new();
@@ -1997,9 +2047,13 @@ fn analysis_thread(inner: Arc<FleetInner>, src: Arc<SourceShared>) {
             ctr.add(1);
         }
         let t0 = Instant::now();
-        inner.hub.publish(HubMsg::SourceRecord {
-            source: src.name.clone(),
-            record: rec,
+        inner.hub.publish(if src.implicit {
+            HubMsg::Record(rec)
+        } else {
+            HubMsg::SourceRecord {
+                source: src.name.clone(),
+                record: rec,
+            }
         });
         let us = t0.elapsed().as_secs_f64() * 1e6;
         src.fanout.record(us);
@@ -2007,10 +2061,6 @@ fn analysis_thread(inner: Arc<FleetInner>, src: Arc<SourceShared>) {
             h.record(us);
         }
     }
-    inner.hub.publish(HubMsg::SourceBye {
-        source: src.name.clone(),
-    });
-    inner.note_evictions();
     inner
         .stats
         .ingest_signal_us
@@ -2019,6 +2069,18 @@ fn analysis_thread(inner: Arc<FleetInner>, src: Arc<SourceShared>) {
         .stats
         .ingest_wall_us
         .add(src.ingest_wall_us.load(Ordering::Relaxed));
+    // A tagged stream ends with its source's Bye; an untagged one with the
+    // end-of-session statistics document.
+    let end = if src.implicit {
+        let net = inner.stats.snapshot(inner.hub.evicted());
+        HubMsg::Stats(net.to_json().to_json())
+    } else {
+        HubMsg::SourceBye {
+            source: src.name.clone(),
+        }
+    };
+    inner.hub.publish(end);
+    inner.note_evictions();
     src.done.store(true, Ordering::SeqCst);
     if let Some(g) = &inner.active_gauge {
         g.add(-1);
@@ -2038,7 +2100,7 @@ fn analysis_thread(inner: Arc<FleetInner>, src: Arc<SourceShared>) {
 mod tests {
     use super::*;
     use crate::client::{RecordSubscriber, SendRate, SubEvent, TraceSender};
-    use crate::frame::RecordMsg;
+    use crate::frame::{encode_frame, RecordMsg};
 
     fn stub_factory() -> PipelineFactory {
         Box::new(|_source: &str| {
@@ -2294,7 +2356,7 @@ mod tests {
         let mut s = TcpStream::connect(addr).unwrap();
         let mut seq = 0u32;
         let mut send = |s: &mut TcpStream, f: &Frame| {
-            let b = crate::frame::encode_frame(f, seq);
+            let b = encode_frame(f, seq);
             seq = seq.wrapping_add(1);
             s.write_all(&b).unwrap();
         };
@@ -2407,7 +2469,7 @@ mod tests {
         )
         .unwrap();
         let inner = server.inner.clone();
-        let hot = match register_source(&inner, "hot", meta()) {
+        let hot = match register_source(&inner, Some("hot"), meta()) {
             Admission::New(s) => s,
             _ => panic!("fresh id must register"),
         };
@@ -2483,7 +2545,7 @@ mod tests {
         )
         .unwrap();
         let inner = server.inner.clone();
-        let src = match register_source(&inner, "sick", meta()) {
+        let src = match register_source(&inner, Some("sick"), meta()) {
             Admission::New(s) => s,
             _ => panic!("fresh id must register"),
         };
@@ -2580,5 +2642,410 @@ mod tests {
             .per_source
             .iter()
             .all(|s| s.health == SourceHealth::Healthy));
+    }
+
+    // -- Plain producers: the implicit-source handshake ---------------------
+
+    #[test]
+    fn loopback_session_reaches_a_subscriber() {
+        let server = FleetServer::bind(
+            "127.0.0.1:0",
+            FleetConfig {
+                expect: Some(1),
+                ..Default::default()
+            },
+            stub_factory(),
+            None,
+        )
+        .unwrap();
+        let addr = server.local_addr().unwrap();
+        let run = std::thread::spawn(move || server.run().unwrap());
+
+        let mut sub = RecordSubscriber::connect(addr).unwrap();
+        let samples: Vec<Complex32> = (0..10_000)
+            .map(|i| Complex32::new((i as f32 * 0.01).sin(), 0.0))
+            .collect();
+        let mut tx = TraceSender::connect(addr).unwrap();
+        let report = tx
+            .send_samples(meta(), &samples, SendRate::Max, 1024)
+            .unwrap();
+        tx.finish().unwrap();
+        assert_eq!(report.samples, 10_000);
+
+        let mut lines = Vec::new();
+        let mut saw_stats = false;
+        loop {
+            match sub.next_event().unwrap() {
+                SubEvent::Record(r) => lines.push(r.line),
+                SubEvent::Stats(_) => saw_stats = true,
+                SubEvent::Bye => break,
+                _ => {}
+            }
+        }
+        assert_eq!(lines, vec!["session of 10000 samples".to_string()]);
+        assert!(saw_stats, "session must publish a stats document");
+
+        let stats = run.join().unwrap().net;
+        assert_eq!(stats.sessions, 1);
+        assert_eq!(stats.samples_in, 10_000);
+        assert_eq!(stats.producers, 1);
+        assert_eq!(stats.subscribers, 1);
+        assert_eq!(stats.decode_errors, 0);
+        assert!(stats.ingest_rt_ratio() > 0.0);
+    }
+
+    #[test]
+    fn malformed_first_frame_is_counted_and_dropped() {
+        let server =
+            FleetServer::bind("127.0.0.1:0", FleetConfig::default(), stub_factory(), None).unwrap();
+        let addr = server.local_addr().unwrap();
+        let handle = server.handle();
+        let run = std::thread::spawn(move || server.run().unwrap());
+        let decode_errors_reach = |n: u64| {
+            let t0 = Instant::now();
+            while handle.stats().net.decode_errors < n && t0.elapsed() < Duration::from_secs(5) {
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            assert_eq!(handle.stats().net.decode_errors, n);
+        };
+
+        // Bytes that are no RFDN frame at all.
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.write_all(b"GET / HTTP/1.1\r\n\r\n this is not RFDN")
+            .unwrap();
+        drop(s);
+        decode_errors_reach(1);
+        // A well-formed frame that is not a Hello is just as malformed as
+        // a first frame.
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.write_all(&encode_frame(&Frame::StreamMeta(meta()), 0))
+            .unwrap();
+        drop(s);
+        decode_errors_reach(2);
+        assert_eq!(handle.stats().sources_joined, 0);
+        handle.shutdown();
+        run.join().unwrap();
+    }
+
+    #[test]
+    fn dropped_producer_resumes_without_loss_or_duplication() {
+        let server = FleetServer::bind(
+            "127.0.0.1:0",
+            FleetConfig {
+                expect: Some(1),
+                resume_grace: Duration::from_secs(10),
+                ..Default::default()
+            },
+            stub_factory(),
+            None,
+        )
+        .unwrap();
+        let addr = server.local_addr().unwrap();
+        let handle = server.handle();
+        let run = std::thread::spawn(move || server.run().unwrap());
+        let mut sub = RecordSubscriber::connect(addr).unwrap();
+
+        let chunk = |start: u64, n: usize| Frame::SampleChunk {
+            start_sample: start,
+            iq: vec![(7, -7); n],
+        };
+        // First connection: meta + samples [0, 2000), then vanish mid-stream.
+        {
+            let mut s = TcpStream::connect(addr).unwrap();
+            for (seq, f) in [
+                Frame::Hello(Role::Producer),
+                Frame::StreamMeta(meta()),
+                chunk(0, 1000),
+                chunk(1000, 1000),
+            ]
+            .iter()
+            .enumerate()
+            {
+                s.write_all(&encode_frame(f, seq as u32)).unwrap();
+            }
+            s.flush().unwrap();
+            // Let the server ingest before the abrupt close.
+            std::thread::sleep(Duration::from_millis(300));
+        } // dropped without Bye → session parks
+        wait_for("session parked after the drop", || {
+            handle.stats().net.sessions_parked == 1
+        });
+
+        // Second connection: resume, resend the overlap, finish the stream.
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut seq = 0u32;
+        for f in [
+            Frame::Hello(Role::Producer),
+            Frame::Resume {
+                session: 1,
+                position: 0,
+            },
+        ] {
+            s.write_all(&encode_frame(&f, seq)).unwrap();
+            seq += 1;
+        }
+        // The server's authoritative ack tells us where to resume.
+        let mut dec = FrameDecoder::new();
+        let acked = loop {
+            let mut buf = [0u8; 1024];
+            if let Some(SeqFrame {
+                frame: Frame::Ack { session, position },
+                ..
+            }) = dec.next_frame().unwrap()
+            {
+                assert_eq!(session, 1);
+                break position;
+            }
+            let n = s.read(&mut buf).unwrap();
+            assert!(n > 0, "server closed before acking the resume");
+            dec.push(&buf[..n]);
+        };
+        assert_eq!(acked, 2000, "server must have ingested both chunks");
+        // Resend an overlapping chunk (dedup) plus the remainder.
+        for f in [chunk(1000, 1000), chunk(2000, 1000), Frame::Bye] {
+            s.write_all(&encode_frame(&f, seq)).unwrap();
+            seq += 1;
+        }
+        s.flush().unwrap();
+
+        let mut lines = Vec::new();
+        loop {
+            match sub.next_event().unwrap() {
+                SubEvent::Record(r) => lines.push(r.line),
+                SubEvent::Bye => break,
+                _ => {}
+            }
+        }
+        assert_eq!(lines, vec!["session of 3000 samples".to_string()]);
+
+        let stats = run.join().unwrap().net;
+        assert_eq!(stats.sessions, 1, "one logical session across reconnects");
+        assert_eq!(stats.resumes, 1);
+        assert_eq!(stats.sessions_parked, 1);
+        assert_eq!(stats.samples_in, 3000, "duplicates must not be recounted");
+        assert_eq!(stats.chunks_duplicate, 1);
+        assert_eq!(stats.sample_gaps, 0);
+        assert!(stats.acks_sent >= 2);
+    }
+
+    #[test]
+    fn resuming_an_unknown_session_is_refused_with_a_bye() {
+        let server =
+            FleetServer::bind("127.0.0.1:0", FleetConfig::default(), stub_factory(), None).unwrap();
+        let addr = server.local_addr().unwrap();
+        let handle = server.handle();
+        let run = std::thread::spawn(move || server.run().unwrap());
+
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        s.write_all(&encode_frame(&Frame::Hello(Role::Producer), 0))
+            .unwrap();
+        s.write_all(&encode_frame(
+            &Frame::Resume {
+                session: 999,
+                position: 0,
+            },
+            1,
+        ))
+        .unwrap();
+        let mut dec = FrameDecoder::new();
+        let refused = loop {
+            let mut buf = [0u8; 1024];
+            match dec.next_frame().unwrap() {
+                Some(SeqFrame {
+                    frame: Frame::Bye, ..
+                }) => break true,
+                Some(_) => continue,
+                None => {}
+            }
+            match s.read(&mut buf) {
+                Ok(0) => break false,
+                Ok(n) => dec.push(&buf[..n]),
+                Err(_) => break false,
+            }
+        };
+        assert!(refused, "unknown session must be refused with a Bye");
+        handle.shutdown();
+        run.join().unwrap();
+    }
+
+    #[test]
+    fn drop_oldest_overflow_counts_dropped_chunks() {
+        // A cap-1 drop-oldest queue in front of a consumer slowed by 2 ms
+        // per chunk: the ingest side overruns it, so chunks are dropped.
+        // Every wire sample is still counted in, and the pipeline sees
+        // exactly the chunks that were not dropped.
+        let server = FleetServer::bind(
+            "127.0.0.1:0",
+            FleetConfig {
+                queue_cap: 1,
+                overflow: OverflowPolicy::DropOldest,
+                expect: Some(1),
+                faults: Some(Arc::new(
+                    FaultPlan::parse("slow=net.fleet.analysis/2ms").unwrap(),
+                )),
+                ..Default::default()
+            },
+            stub_factory(),
+            None,
+        )
+        .unwrap();
+        let addr = server.local_addr().unwrap();
+        let sub = server.subscribe();
+        let run = std::thread::spawn(move || server.run().unwrap());
+        let samples: Vec<Complex32> = vec![Complex32::new(0.1, -0.1); 50_000];
+        let mut tx = TraceSender::connect(addr).unwrap();
+        tx.send_samples(meta(), &samples, SendRate::Max, 512)
+            .unwrap();
+        tx.finish().unwrap();
+        let snap = run.join().unwrap();
+        let stats = &snap.net;
+        assert_eq!(stats.samples_in, 50_000);
+        assert_eq!(stats.sessions, 1);
+        assert!(
+            stats.chunks_dropped > 0,
+            "the slowed consumer must overflow"
+        );
+        assert_eq!(stats.chunks_dropped, snap.per_source[0].chunks_dropped);
+        // Drop-oldest never drops the newest chunk, so every dropped chunk
+        // is a full 512-sample one.
+        let analyzed = 50_000 - 512 * stats.chunks_dropped;
+        let lines: Vec<String> = sub
+            .rx
+            .try_iter()
+            .filter_map(|m| match m {
+                HubMsg::Record(r) => Some(r.line),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(lines, vec![format!("session of {analyzed} samples")]);
+    }
+
+    /// A stub pipeline with one record per 500-sample block, so both the
+    /// content and the order of a stream are under test.
+    fn block_records(meta: &StreamMeta, samples: Vec<Complex32>) -> Vec<RecordMsg> {
+        let us = |n: usize| n as f64 / meta.sample_rate * 1e6;
+        samples
+            .chunks(500)
+            .enumerate()
+            .map(|(k, block)| {
+                let sum: i64 = block
+                    .iter()
+                    .map(|s| (s.re * 32767.0).round() as i64 + (s.im * 32767.0).round() as i64)
+                    .sum();
+                RecordMsg {
+                    start_us: us(k * 500),
+                    end_us: us(k * 500 + block.len()),
+                    line: format!("block {k}: {} samples, checksum {sum}", block.len()),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn plain_and_tagged_senders_share_one_server() {
+        let factory: PipelineFactory = Box::new(|_source: &str| Box::new(block_records));
+        let server = FleetServer::bind(
+            "127.0.0.1:0",
+            FleetConfig {
+                expect: Some(2),
+                ..Default::default()
+            },
+            factory,
+            None,
+        )
+        .unwrap();
+        let addr = server.local_addr().unwrap();
+        let filtered = server.subscribe_filtered("roof");
+        let run = std::thread::spawn(move || server.run().unwrap());
+        let mut net_sub = RecordSubscriber::connect(addr).unwrap();
+
+        // Distinct integer IQ per sender (scale 1.0 makes the wire exact),
+        // so cross-source contamination would show in the diffs.
+        let iq = |seed: i32| -> Vec<(i16, i16)> {
+            (0..4000)
+                .map(|k| {
+                    (
+                        ((k * seed) % 2000 - 1000) as i16,
+                        ((k * 7 + seed) % 900) as i16,
+                    )
+                })
+                .collect()
+        };
+        let (plain_iq, roof_iq) = (iq(3), iq(11));
+        let send = |source: Option<&'static str>, iq: Vec<(i16, i16)>| {
+            std::thread::spawn(move || {
+                let mut tx = match source {
+                    Some(id) => TraceSender::connect_source(addr, id),
+                    None => TraceSender::connect(addr),
+                }
+                .unwrap();
+                let samples: Vec<Complex32> = iq
+                    .iter()
+                    .map(|&(i, q)| Complex32::new(f32::from(i), f32::from(q)))
+                    .collect();
+                tx.send_samples(meta(), &samples, SendRate::Max, 256)
+                    .unwrap();
+                tx.finish().unwrap();
+            })
+        };
+        let senders = [
+            send(None, plain_iq.clone()),
+            send(Some("roof"), roof_iq.clone()),
+        ];
+        for t in senders {
+            t.join().unwrap();
+        }
+
+        // The reference: the pipeline run directly on the samples the
+        // server reconstructs from the wire.
+        let offline = |iq: &[(i16, i16)]| -> Vec<String> {
+            let samples = iq
+                .iter()
+                .map(|&(i, q)| from_i16_iq(i, q).scale(1.0))
+                .collect();
+            block_records(&meta(), samples)
+                .into_iter()
+                .map(|r| r.line)
+                .collect()
+        };
+        let mut plain = Vec::new();
+        let mut roof_tagged = Vec::new();
+        loop {
+            match net_sub.next_event().unwrap() {
+                SubEvent::Record(r) => plain.push(r.line),
+                SubEvent::SourceRecord { source, record } => {
+                    assert_eq!(source, "roof", "only the tagged sender is tagged");
+                    roof_tagged.push(record.line);
+                }
+                SubEvent::Bye => break,
+                _ => {}
+            }
+        }
+        let mut roof_filtered = Vec::new();
+        loop {
+            match filtered.rx.recv().unwrap() {
+                HubMsg::SourceRecord { record, .. } => roof_filtered.push(record.line),
+                HubMsg::SourceMeta { .. } => {}
+                HubMsg::SourceBye { .. } | HubMsg::Bye => break,
+                other => panic!("untagged {other:?} reached a filtered subscription"),
+            }
+        }
+        assert_eq!(plain.len(), 8);
+        assert_eq!(plain, offline(&plain_iq), "plain stream, untagged");
+        assert_eq!(roof_filtered, offline(&roof_iq), "tagged stream, filtered");
+        assert_eq!(roof_tagged, roof_filtered);
+
+        let snap = run.join().unwrap();
+        assert_eq!(snap.sources_joined, 2);
+        assert_eq!(snap.sources_done, 2);
+        assert_eq!(snap.net.sessions, 2);
+        let names: Vec<&str> = snap.per_source.iter().map(|s| s.source.as_str()).collect();
+        assert!(names.contains(&"roof"), "{names:?}");
+        assert!(
+            names.iter().any(|n| n.starts_with("session:")),
+            "the plain sender runs as an implicit source: {names:?}"
+        );
     }
 }

@@ -1,7 +1,7 @@
 //! rfd-net — the wire layer of the monitor: a framed, versioned protocol
 //! for shipping raw sample streams *into* the rfdump pipeline and decoded
-//! record streams *out* to live subscribers, plus the server that joins the
-//! two.
+//! record streams *out* to live subscribers, plus the one server that joins
+//! the two.
 //!
 //! The paper's architecture assumes samples arrive from a radio front-end
 //! and analysis results are consumed by "visualizer" clients; this crate is
@@ -13,12 +13,15 @@
 //!   (block = lossless backpressure, drop-oldest = lossy real-time).
 //! * [`hub`] — record fan-out with per-subscriber bounded queues and
 //!   slow-consumer eviction.
-//! * [`server`] — the TCP server: producers in, subscribers out, one
-//!   [`Pipeline`] in the middle.
-//! * [`fleet`] — the multi-sensor ingest server: one nonblocking readiness
-//!   loop accepts N concurrent capture senders, shards each source onto its
-//!   own pipeline instance, and merges the record streams with per-source
-//!   tags.
+//! * [`fleet`] — the ingest server: one nonblocking readiness loop accepts
+//!   any number of concurrent capture senders and shards each source onto
+//!   its own [`Pipeline`] instance. A sender that names itself
+//!   (`SourceHello`) gets its records tagged with that id; a plain sender
+//!   (bare `StreamMeta`) runs as an implicit source whose records stay
+//!   untagged, exactly what a plain subscriber expects.
+//! * [`server`] — what the server needs besides its sources: the
+//!   [`Pipeline`] trait, the wire-level statistics, and the subscriber side
+//!   of the fan-out.
 //! * [`client`] — [`TraceSender`] and [`RecordSubscriber`], what the CLI's
 //!   `send` / `watch` modes wrap.
 //!
@@ -51,4 +54,4 @@ pub use frame::{
 };
 pub use hub::{HubMsg, RecordHub, Subscription};
 pub use queue::{ChunkQueue, OverflowPolicy, PushOutcome, TryPushError};
-pub use server::{NetStatsSnapshot, Pipeline, Server, ServerConfig, ServerHandle};
+pub use server::{NetStatsSnapshot, Pipeline};

@@ -16,13 +16,13 @@
 
 use rfd_fault::FaultPlan;
 use rfd_integration::{mixed_trace, piconet, random_bytes, seeded_cases};
-use rfd_net::{RecordSubscriber, ResilientSender, SendRate, Server, ServerConfig, SubEvent};
+use rfd_net::{FleetConfig, FleetServer, RecordSubscriber, ResilientSender, SendRate, SubEvent};
 use rfdump::arch::{run_architecture, ArchConfig, ArchOutput};
 use rfdump::dispatch::QUARANTINE_STRIKES;
-use rfdump::live::LivePipeline;
+use rfdump::fleet::pipeline_factory;
 use std::io::Write;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 fn run(workers: usize, faults: Option<Arc<FaultPlan>>) -> ArchOutput {
@@ -141,18 +141,22 @@ fn offline_lines(path: &std::path::Path) -> Vec<String> {
 #[test]
 fn injected_disconnects_resume_without_loss_duplication_or_reorder() {
     let path = trace_file("chaos-resume.rfdt");
-    let server = Server::bind(
+    let server = FleetServer::bind(
         "127.0.0.1:0",
-        ServerConfig {
-            once: true,
+        FleetConfig {
+            expect: Some(1),
             resume_grace: Duration::from_secs(10),
             ..Default::default()
         },
-        Box::new(LivePipeline::new({
-            let mut c = ArchConfig::rfdump(vec![piconet()]);
-            c.telemetry = false;
-            c
-        })),
+        pipeline_factory(
+            {
+                let mut c = ArchConfig::rfdump(vec![piconet()]);
+                c.telemetry = false;
+                c
+            },
+            None,
+            Arc::new(Mutex::new(None)),
+        ),
         None,
     )
     .unwrap();
@@ -178,7 +182,7 @@ fn injected_disconnects_resume_without_loss_duplication_or_reorder() {
             _ => {}
         }
     }
-    let stats = run.join().unwrap();
+    let stats = run.join().unwrap().net;
     assert_eq!(stats.sessions, 1, "resume must not fork a second session");
     assert_eq!(
         lines,
@@ -190,14 +194,18 @@ fn injected_disconnects_resume_without_loss_duplication_or_reorder() {
 #[test]
 fn garbage_floods_never_take_the_server_down() {
     let path = trace_file("chaos-flood.rfdt");
-    let server = Server::bind(
+    let server = FleetServer::bind(
         "127.0.0.1:0",
-        ServerConfig::default(),
-        Box::new(LivePipeline::new({
-            let mut c = ArchConfig::rfdump(vec![piconet()]);
-            c.telemetry = false;
-            c
-        })),
+        FleetConfig::default(),
+        pipeline_factory(
+            {
+                let mut c = ArchConfig::rfdump(vec![piconet()]);
+                c.telemetry = false;
+                c
+            },
+            None,
+            Arc::new(Mutex::new(None)),
+        ),
         None,
     )
     .unwrap();
@@ -216,13 +224,13 @@ fn garbage_floods_never_take_the_server_down() {
     // Wait until the floods have been seen and at least one was rejected as
     // malformed (tiny floods may close before a full frame header arrives).
     let t0 = std::time::Instant::now();
-    while (handle.stats().connections < 8 || handle.stats().decode_errors == 0)
+    while (handle.stats().net.connections < 8 || handle.stats().net.decode_errors == 0)
         && t0.elapsed() < Duration::from_secs(10)
     {
         std::thread::sleep(Duration::from_millis(20));
     }
     assert!(
-        handle.stats().decode_errors >= 1,
+        handle.stats().net.decode_errors >= 1,
         "garbage must be rejected, not silently accepted"
     );
 

@@ -1,5 +1,5 @@
 //! Live loopback vs offline differential: a trace replayed through
-//! `TraceSender → Server(LivePipeline) → RecordSubscriber` must yield a
+//! `TraceSender → FleetServer(LivePipeline) → RecordSubscriber` must yield a
 //! record stream **byte-identical** to offline `run_architecture` on the
 //! same trace — at any worker count. This is the acceptance contract of
 //! the whole net subsystem: the wire (i16 IQ + scale) and the end-of-
@@ -7,11 +7,10 @@
 
 use rfd_integration::{mixed_trace, piconet};
 use rfd_net::{
-    FleetConfig, FleetServer, HubMsg, RecordSubscriber, SendRate, Server, ServerConfig, SubEvent,
-    TraceSender,
+    FleetConfig, FleetServer, HubMsg, RecordSubscriber, SendRate, SubEvent, TraceSender,
 };
 use rfdump::arch::{run_architecture, ArchConfig};
-use rfdump::live::LivePipeline;
+use rfdump::fleet::pipeline_factory;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -50,14 +49,14 @@ fn loopback_lines(path: &std::path::Path, workers: usize, rate: SendRate) -> Vec
     let mut cfg = ArchConfig::rfdump(vec![piconet()]);
     cfg.telemetry = false;
     cfg.workers = workers;
-    let server = Server::bind(
+    let server = FleetServer::bind(
         "127.0.0.1:0",
-        ServerConfig {
-            once: true,
+        FleetConfig {
+            expect: Some(1),
             queue_cap: 8,
             ..Default::default()
         },
-        Box::new(LivePipeline::new(cfg)),
+        pipeline_factory(cfg, None, Arc::new(Mutex::new(None))),
         None,
     )
     .unwrap();
@@ -78,7 +77,7 @@ fn loopback_lines(path: &std::path::Path, workers: usize, rate: SendRate) -> Vec
             _ => {}
         }
     }
-    let stats = run.join().unwrap();
+    let stats = run.join().unwrap().net;
     assert_eq!(stats.sessions, 1);
     assert_eq!(stats.samples_in, report.samples);
     assert_eq!(stats.seq_gaps, 0, "lossless path must have no seq gaps");
@@ -118,13 +117,13 @@ fn two_subscribers_see_the_same_stream() {
         c.workers = 0;
         c
     };
-    let server = Server::bind(
+    let server = FleetServer::bind(
         "127.0.0.1:0",
-        ServerConfig {
-            once: true,
+        FleetConfig {
+            expect: Some(1),
             ..Default::default()
         },
-        Box::new(LivePipeline::new(cfg)),
+        pipeline_factory(cfg, None, Arc::new(Mutex::new(None))),
         None,
     )
     .unwrap();
@@ -152,7 +151,7 @@ fn two_subscribers_see_the_same_stream() {
     }
     assert_eq!(streams[0], streams[1]);
     assert_eq!(streams[0], offline_lines(&path, 0));
-    let stats = run.join().unwrap();
+    let stats = run.join().unwrap().net;
     assert_eq!(stats.subscribers, 2);
     assert_eq!(stats.subscribers_evicted, 0);
 }
@@ -195,7 +194,7 @@ fn fleet_sources_match_offline(workers: usize) {
     cfg.telemetry = false;
     cfg.workers = workers;
     let slot = Arc::new(Mutex::new(None));
-    let factory = rfdump::fleet::pipeline_factory(cfg, None, slot);
+    let factory = pipeline_factory(cfg, None, slot);
     let server = FleetServer::bind(
         "127.0.0.1:0",
         FleetConfig {
