@@ -7,8 +7,9 @@
 #      and a third pass pinned to the scalar reference kernels
 #      (RFD_KERNEL=scalar); the default legs run whatever SIMD backend
 #      the host resolves, so together they cover the kernel matrix —
-#      then a stress leg reruns the differential suite ten times on the
-#      pool, because byte-identity must hold every time, not most times
+#      then a stress leg reruns the differential and fault-injection
+#      suites ten times each on the pool, because byte-identity and the
+#      chaos budgets must hold every time, not most times
 #   3. a smoke run of the rfdump CLI over a tiny generated .rfdt trace,
 #      checking that --stats-json emits a document the in-repo parser and
 #      schema checks accept, that --workers 0 and --workers 4 print a
@@ -63,15 +64,14 @@ echo "== tier-1: test again on the scalar reference kernels (RFD_KERNEL=scalar) 
 # can never hide behind the backend both legs happened to pick.
 RFD_KERNEL=scalar RFD_WORKERS=0 cargo test -q
 
-echo "== stress: differential_scheduler x10 on the analysis pool (RFD_WORKERS=4) =="
-# The chunk-size and budget differentials must pass on every run of a
-# loaded box. fault_injection stays out of this leg for now: its
-# fleet_cpu_chaos_sheds_the_starved_source... test is still load-flaky,
-# because the clean source's deadline includes whole-session analysis
-# time (ROADMAP items 2 and 5), and its budget is not widened to hide it.
-for i in $(seq 1 10); do
-    RFD_WORKERS=4 cargo test -q --test differential_scheduler \
-        || { echo "differential_scheduler failed on stress run $i/10"; exit 1; }
+echo "== stress: differential_scheduler and fault_injection x10 on the analysis pool (RFD_WORKERS=4) =="
+# The chunk-size and budget differentials and the fleet chaos budgets must
+# pass on every run of a loaded box.
+for suite in differential_scheduler fault_injection; do
+    for i in $(seq 1 10); do
+        RFD_WORKERS=4 cargo test -q --test "$suite" \
+            || { echo "$suite failed on stress run $i/10"; exit 1; }
+    done
 done
 
 echo "== smoke: rfdump --stats-json on a generated trace =="

@@ -44,17 +44,19 @@ fn main() {
     );
 
     let registry = Arc::new(Registry::new());
+    // One burst of records per source, released when its stream ends.
     let factory: rfd_net::PipelineFactory = Box::new(|_source: &str| {
-        Box::new(|_meta: &StreamMeta, samples: Vec<Complex32>| {
+        let mut n = 0usize;
+        Box::new(move |_meta: &StreamMeta, samples: Vec<Complex32>| {
+            if !samples.is_empty() {
+                n += samples.len();
+                return Vec::new();
+            }
             (0..RECORDS_PER_SOURCE)
                 .map(|i| rfd_net::RecordMsg {
                     start_us: i as f64 * 100.0,
                     end_us: i as f64 * 100.0 + 50.0,
-                    line: format!(
-                        "{:08.3} fleet-bench record {i} of {}",
-                        i as f64,
-                        samples.len()
-                    ),
+                    line: format!("{:08.3} fleet-bench record {i} of {n}", i as f64),
                 })
                 .collect()
         })

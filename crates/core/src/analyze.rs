@@ -35,6 +35,15 @@ pub fn detected_only_record(d: &Dispatch, protocol: Protocol) -> PacketRecord {
     base_record(d, protocol)
 }
 
+/// Debug check of the contract the record merge's watermark relies on: an
+/// analyzer never emits a record that starts before its dispatch's peak.
+pub(crate) fn debug_assert_starts(d: &Dispatch, recs: &[PacketRecord], analyzer: &str) {
+    debug_assert!(
+        recs.iter().all(|r| r.start_us >= d.block.start_us()),
+        "{analyzer} emitted a record starting before its dispatch's block start"
+    );
+}
+
 fn base_record(d: &Dispatch, protocol: Protocol) -> PacketRecord {
     let v = d.vote_for(protocol);
     PacketRecord {

@@ -13,6 +13,10 @@
 //! CPU time comes out of the same accounting machinery, and each can run
 //! with or without the demodulation stage (the paper's "no demodulation"
 //! curves isolate detection cost).
+//!
+//! Every graph is a push-fed stream ([`ArchStream`]) that begins at one
+//! source block and ends at one record merge. Offline runs and the live
+//! server drive the same stream; only the push sizes differ.
 
 use crate::analyze::{Analyzer, BtAnalyzer, MicrowaveAnalyzer, WifiAnalyzer, ZigbeeAnalyzer};
 use crate::chunk::{PeakBlock, SampleChunk};
@@ -32,9 +36,8 @@ use crate::records::{PacketInfo, PacketRecord};
 use rfd_dsp::Complex32;
 use rfd_ether::Band;
 use rfd_fault::{Action, FaultPlan, FaultStats};
-use rfd_flowgraph::blocks::VecSink;
 use rfd_flowgraph::sync::Mutex;
-use rfd_flowgraph::{Block, Flowgraph, Payload, RunStats, WorkStatus};
+use rfd_flowgraph::{Block, BlockId, Flowgraph, Payload, RunStats, WorkStatus};
 use rfd_phy::bluetooth::demod::PiconetId;
 use rfd_phy::Protocol;
 use rfd_telemetry::event::EventKind;
@@ -219,15 +222,10 @@ impl ArchOutput {
     }
 }
 
-fn run_graph(fg: &mut Flowgraph, threaded: bool) -> RunStats {
-    if threaded {
-        fg.run_threaded()
-    } else {
-        fg.run()
-    }
-}
-
-/// Runs an architecture over a trace.
+/// Runs an architecture over a whole trace: pushes it through an
+/// [`ArchStream`] in [`PUMP_BATCH`]-chunk batches (one source `work` call's
+/// worth, so every block sees the same calls as a run over the whole
+/// trace at once) and pumps after each.
 pub fn run_architecture(cfg: &ArchConfig, samples: &[Complex32], fs: f64) -> ArchOutput {
     run_architecture_with_registry(cfg, samples, fs, None)
 }
@@ -244,71 +242,241 @@ pub fn run_architecture_with_registry(
     fs: f64,
     shared: Option<Arc<Registry>>,
 ) -> ArchOutput {
-    let trace_seconds = samples.len() as f64 / fs;
-    let registry = cfg
-        .telemetry
-        .then(|| shared.unwrap_or_else(|| Arc::new(Registry::new())));
-    if let Some(reg) = &registry {
-        reg.counter("trace.samples").add(samples.len() as u64);
-        // Which DSP kernel backend this run executes with (scrapes as
-        // `rfd_kernel_backend`; values match `kernels::Backend as u8`).
-        reg.gauge("kernel.backend")
-            .set(i64::from(rfd_dsp::kernels::active() as u8));
+    let mut stream = ArchStream::new(cfg, fs, Some(samples.len() as u64), shared);
+    for batch in samples.chunks(PUMP_BATCH.saturating_mul(cfg.chunk_samples.max(1))) {
+        stream.push(batch);
+        stream.pump();
     }
-    let mut out = match cfg.kind {
-        ArchKind::Naive => run_naive(cfg, &registry, samples, fs, trace_seconds, false),
-        ArchKind::NaiveEnergy => run_naive_energy(cfg, &registry, samples, fs, trace_seconds),
-        ArchKind::RfDump(set) => run_rfdump(cfg, &registry, set, samples, fs, trace_seconds),
-    };
-    out.registry = registry;
-    out.faults = cfg.faults.as_ref().map(|p| p.snapshot());
-    out
+    stream.finish()
+}
+
+/// Chunks the source cuts per `work` call. Before the stream ends it cuts
+/// only whole batches, so the blocks downstream see the same `work` calls
+/// whatever sizes the samples were pushed in — which keeps the naïve
+/// baselines' batch-sensitive receivers identical between a live stream
+/// and an offline run.
+const PUMP_BATCH: usize = 64;
+
+/// An architecture as a push-fed stream: [`push`](Self::push) samples as
+/// they arrive, [`pump`](Self::pump) to run the graph over them and
+/// collect the records that became final, [`finish`](Self::finish) at end
+/// of stream.
+///
+/// Records leave through one merge stage in the stream's final order —
+/// start time, then analyzer port, then per-port arrival — so the batches
+/// `pump` returns concatenate to the globally sorted record stream an
+/// offline run prints. RFDump releases a record once the *low watermark*
+/// passes its start: the smallest of the peak detector's open-peak start,
+/// the oldest peak the dispatcher still holds for retroactive votes, and
+/// the oldest dispatch in flight on the analysis pool. No record still to
+/// come can start earlier, so release latency is bounded by the
+/// dispatcher's `hold_peaks` window. The naïve baselines and the
+/// one-thread-per-block scheduler (`threaded`) have no watermark: they
+/// release everything at `finish`.
+pub struct ArchStream {
+    fg: Flowgraph,
+    feed: Arc<Mutex<Feed>>,
+    /// Records the merge released, drained into `records` after each pump.
+    outbox: Arc<Mutex<Vec<PacketRecord>>>,
+    /// Every record released so far, in final order.
+    records: Vec<PacketRecord>,
+    threaded: bool,
+    fs: f64,
+    pushed: u64,
+    samples_ctr: Option<Arc<Counter>>,
+    registry: Option<Arc<Registry>>,
+    faults: Option<Arc<FaultPlan>>,
+    /// RFDump-only state read back at `finish` (None for the baselines).
+    rfdump: Option<RfDumpParts>,
+}
+
+impl ArchStream {
+    /// Builds the architecture's graph. `len` is the stream's total sample
+    /// count when known up front (a trace file); it enters the durability
+    /// journal's fingerprint, and a live stream passes `None`. `shared` is
+    /// as in [`run_architecture_with_registry`].
+    pub fn new(cfg: &ArchConfig, fs: f64, len: Option<u64>, shared: Option<Arc<Registry>>) -> Self {
+        let registry = cfg
+            .telemetry
+            .then(|| shared.unwrap_or_else(|| Arc::new(Registry::new())));
+        if let Some(reg) = &registry {
+            // Which DSP kernel backend this run executes with (scrapes as
+            // `rfd_kernel_backend`; values match `kernels::Backend as u8`).
+            reg.gauge("kernel.backend")
+                .set(i64::from(rfd_dsp::kernels::active() as u8));
+        }
+        let feed = Arc::new(Mutex::new(Feed::default()));
+        let outbox = Arc::new(Mutex::new(Vec::new()));
+        let mut fg = Flowgraph::new();
+        if let Some(reg) = &registry {
+            fg.set_telemetry(reg.clone());
+        }
+        let rfdump = match cfg.kind {
+            ArchKind::Naive => {
+                build_naive(&mut fg, cfg, fs, &feed, &outbox);
+                None
+            }
+            ArchKind::NaiveEnergy => {
+                build_naive_energy(&mut fg, cfg, &registry, fs, &feed, &outbox);
+                None
+            }
+            ArchKind::RfDump(set) => Some(build_rfdump(
+                &mut fg, cfg, &registry, set, fs, len, &feed, &outbox,
+            )),
+        };
+        // Ingest stamps feed the stage-latency histograms and, in
+        // bounded-latency mode, the budget loop (even with telemetry off).
+        let budgeted = rfdump
+            .as_ref()
+            .and_then(|r| r.governor.as_ref())
+            .is_some_and(|g| g.latency_budget_us().is_some());
+        feed.lock().stamp = registry.is_some() || budgeted;
+        Self {
+            fg,
+            feed,
+            outbox,
+            records: Vec::new(),
+            threaded: cfg.threaded,
+            fs,
+            pushed: 0,
+            samples_ctr: registry.as_ref().map(|r| r.counter("trace.samples")),
+            registry,
+            faults: cfg.faults.clone(),
+            rfdump,
+        }
+    }
+
+    /// Appends the next contiguous samples of the stream. Nothing runs until
+    /// the next [`pump`](Self::pump); with telemetry or a latency budget the
+    /// samples are stamped with their ingest time here.
+    pub fn push(&mut self, samples: &[Complex32]) {
+        self.pushed += samples.len() as u64;
+        if let Some(c) = &self.samples_ctr {
+            c.add(samples.len() as u64);
+        }
+        self.feed.lock().push(samples);
+    }
+
+    /// Runs the graph until it is quiescent and returns the records this
+    /// call released, in final order. A no-op under the one-thread-per-block
+    /// scheduler, which runs the whole stream at `finish`.
+    pub fn pump(&mut self) -> &[PacketRecord] {
+        let from = self.records.len();
+        if !self.threaded {
+            self.fg.pump();
+            self.records.append(&mut self.outbox.lock());
+        }
+        &self.records[from..]
+    }
+
+    /// How many records have been released so far.
+    pub fn released(&self) -> usize {
+        self.records.len()
+    }
+
+    /// Ends the stream: flushes every stage and returns the run's output,
+    /// whose `records` hold every record the stream released, in order.
+    pub fn finish(mut self) -> ArchOutput {
+        self.feed.lock().closed = true;
+        let stats = if self.threaded {
+            self.fg.run_threaded()
+        } else {
+            self.fg.pump();
+            self.fg.finish()
+        };
+        self.records.append(&mut self.outbox.lock());
+        let records = std::mem::take(&mut self.records);
+        let trace_seconds = self.pushed as f64 / self.fs;
+        let mut out = match self.rfdump.take() {
+            Some(parts) => parts.finish(stats, records, trace_seconds, self.fs),
+            None => ArchOutput {
+                classified: classified_from_records(&records, self.fs),
+                records,
+                dispatch_stats: None,
+                stats,
+                trace_seconds,
+                sample_rate: self.fs,
+                registry: None,
+                pool_stats: None,
+                faults: None,
+                governor: None,
+                latency: None,
+                panics: 0,
+                quarantined: Vec::new(),
+                recovery: None,
+            },
+        };
+        out.registry = self.registry.take();
+        out.faults = self.faults.as_ref().map(|p| p.snapshot());
+        out
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Shared blocks
 // ---------------------------------------------------------------------------
 
-/// Emits the trace as chunks, cut incrementally at emission time so the
-/// governor's adaptive chunk size takes effect chunk by chunk. Without a
-/// governor every chunk is the configured size, reproducing the old
-/// pre-chunked stream exactly. Chunk size never affects the record output:
-/// the peak detector re-blocks internally (see [`crate::peak::DETECT_BLOCK`]).
-struct ChunkSource {
-    samples: Vec<Complex32>,
+/// Samples pushed into a stream and not yet cut into chunks.
+#[derive(Default)]
+struct Feed {
+    buf: Vec<Complex32>,
+    /// Index in `buf` of the next sample to cut.
+    head: usize,
+    /// Absolute sample index of `buf[head]`.
+    pos: u64,
+    /// Stamp pushes with their ingest time.
+    stamp: bool,
+    /// `(absolute end, push instant)` of each stamped push not yet fully
+    /// cut; a chunk carries the stamp of the push holding its first sample.
+    stamps: VecDeque<(u64, Instant)>,
+    /// No more pushes: cut what is left, short final chunk included.
+    closed: bool,
+}
+
+impl Feed {
+    fn push(&mut self, samples: &[Complex32]) {
+        self.buf.drain(..self.head);
+        self.head = 0;
+        self.buf.extend_from_slice(samples);
+        if self.stamp {
+            let end = self.pos + self.buf.len() as u64;
+            self.stamps.push_back((end, Instant::now()));
+        }
+    }
+
+    fn available(&self) -> usize {
+        self.buf.len() - self.head
+    }
+
+    /// Cuts the next `n` samples: (start index, samples, ingest stamp).
+    fn cut(&mut self, n: usize) -> (u64, Vec<Complex32>, Option<Instant>) {
+        let start = self.pos;
+        while self.stamps.front().is_some_and(|&(end, _)| end <= start) {
+            self.stamps.pop_front();
+        }
+        let samples = self.buf[self.head..self.head + n].to_vec();
+        self.head += n;
+        self.pos += n as u64;
+        (start, samples, self.stamps.front().map(|&(_, t)| t))
+    }
+}
+
+/// The push-fed source every architecture starts from: cuts the samples
+/// pushed into its [`Feed`] into chunks of the configured size — or, in
+/// bounded-latency mode, the governor's live size, read at each `work`
+/// call. Chunk size never affects the record output: the peak detector
+/// re-blocks internally (see [`crate::peak::DETECT_BLOCK`]).
+struct PushSource {
+    feed: Arc<Mutex<Feed>>,
     fs: f64,
-    pos: usize,
     seq: u64,
     /// Configured chunk size (the fixed size without a governor).
     base: usize,
     /// Live chunk-size authority in bounded-latency mode.
     ctl: Option<Arc<LoadGovernor>>,
-    /// Stamp each chunk's ingest time on emission (telemetry or budget
-    /// runs only, so plain runs pay zero clock reads on the hot path).
-    stamp: bool,
 }
 
-impl ChunkSource {
-    fn new(
-        samples: &[Complex32],
-        fs: f64,
-        base: usize,
-        ctl: Option<Arc<LoadGovernor>>,
-        stamp: bool,
-    ) -> Self {
-        Self {
-            samples: samples.to_vec(),
-            fs,
-            pos: 0,
-            seq: 0,
-            base: base.max(1),
-            ctl,
-            stamp,
-        }
-    }
-}
-
-impl Block for ChunkSource {
+impl Block for PushSource {
     fn name(&self) -> &str {
         "source:trace"
     }
@@ -316,27 +484,255 @@ impl Block for ChunkSource {
         0
     }
     fn work(&mut self, _i: &mut [VecDeque<Payload>], outputs: &mut [Vec<Payload>]) -> WorkStatus {
-        for _ in 0..64 {
-            if self.pos >= self.samples.len() {
-                return WorkStatus::Done;
+        let mut feed = self.feed.lock();
+        let sz = self
+            .ctl
+            .as_ref()
+            .map_or(self.base, |g| g.chunk_size())
+            .max(1);
+        if !feed.closed && feed.available() < PUMP_BATCH.saturating_mul(sz) {
+            return WorkStatus::Again;
+        }
+        for _ in 0..PUMP_BATCH {
+            let n = sz.min(feed.available());
+            if n == 0 {
+                break;
             }
-            let sz = self
-                .ctl
-                .as_ref()
-                .map_or(self.base, |g| g.chunk_size())
-                .max(1);
-            let end = (self.pos + sz).min(self.samples.len());
+            let (start, samples, ingest) = feed.cut(n);
             outputs[0].push(Box::new(SampleChunk {
                 seq: self.seq,
-                start: self.pos as u64,
-                samples: Arc::new(self.samples[self.pos..end].to_vec()),
+                start,
+                samples: Arc::new(samples),
                 sample_rate: self.fs,
-                ingest: self.stamp.then(Instant::now),
+                ingest,
             }));
             self.seq += 1;
-            self.pos = end;
+        }
+        if feed.closed && feed.available() == 0 {
+            WorkStatus::Done
+        } else {
+            WorkStatus::Again
+        }
+    }
+}
+
+/// Adds the push-fed source to a graph under construction.
+fn add_source(
+    fg: &mut Flowgraph,
+    cfg: &ArchConfig,
+    fs: f64,
+    feed: &Arc<Mutex<Feed>>,
+    ctl: Option<Arc<LoadGovernor>>,
+) -> BlockId {
+    fg.add(Box::new(PushSource {
+        feed: feed.clone(),
+        fs,
+        seq: 0,
+        base: cfg.chunk_samples.max(1),
+        ctl,
+    }))
+}
+
+/// Inputs to the record merge's low watermark, in absolute samples: each
+/// RFDump stage upstream of the merge publishes, after every `work` call,
+/// a lower bound on the peak start of any record it can still give rise
+/// to. On the single-threaded scheduler the merge runs last in each sweep,
+/// when every queue between these stages has drained, so the minimum is a
+/// bound on every record not yet at the merge. Every store and load
+/// happens on that scheduler thread, so `Relaxed` ordering suffices.
+struct Watermarks {
+    /// [`PeakDetector::low_watermark`].
+    peak: AtomicU64,
+    /// [`Dispatcher::low_watermark`] (`u64::MAX`: nothing pending).
+    dispatch: AtomicU64,
+    /// [`AnalysisPool::low_watermark`] (`u64::MAX`: nothing in flight).
+    pool: AtomicU64,
+}
+
+impl Watermarks {
+    fn new() -> Self {
+        Self {
+            peak: AtomicU64::new(0),
+            dispatch: AtomicU64::new(u64::MAX),
+            pool: AtomicU64::new(u64::MAX),
+        }
+    }
+
+    fn low(&self) -> u64 {
+        [&self.peak, &self.dispatch, &self.pool]
+            .iter()
+            .map(|a| a.load(Ordering::Relaxed))
+            .min()
+            .expect("three inputs")
+    }
+}
+
+/// A record plus its dispatch's ingest stamp, passed from the analysis
+/// stage to the [`MergeBlock`]. The stamp rides in the payload — never
+/// inside [`PacketRecord`] — so serialized records and record equality stay
+/// byte-identical with and without telemetry.
+struct StampedRecord {
+    rec: PacketRecord,
+    ingest: Option<Instant>,
+}
+
+impl StampedRecord {
+    /// A record without an ingest stamp (the baselines' demodulators).
+    fn bare(rec: PacketRecord) -> Self {
+        Self { rec, ingest: None }
+    }
+}
+
+/// A record the merge holds until the watermark passes its start.
+struct Held {
+    rec: PacketRecord,
+    port: usize,
+    /// Arrival order at the merge (per-port order is what the sort keys on).
+    arrival: u64,
+    ingest: Option<Instant>,
+}
+
+/// The record merge, the graph's only sink: one input port per analyzer
+/// (or baseline demodulator). Records are journaled and counted as they
+/// arrive, held until the low watermark passes their start, then released
+/// sorted by start time (`total_cmp`), port and per-port arrival into the
+/// stream's outbox. Records released at one watermark all start before it
+/// and every later record starts at or after it, so the released batches
+/// concatenate to one globally sorted stream.
+struct MergeBlock {
+    n_ports: usize,
+    held: Vec<Held>,
+    arrivals: u64,
+    outbox: Arc<Mutex<Vec<PacketRecord>>>,
+    /// Release before `finish` (RFDump on the sweep scheduler only).
+    wm: Option<Arc<Watermarks>>,
+    fs: f64,
+    /// Highest watermark seen, µs (for the debug check that no record
+    /// arrives behind it).
+    released_below: f64,
+    /// Durability: records are journaled here as they arrive, so the log is
+    /// complete before the next commit (see [`crate::durability`]).
+    journal: Option<Arc<crate::durability::JournalState>>,
+    /// `latency.journal_us` stage histogram (time since ingest at append).
+    journal_hist: Option<Arc<Histogram>>,
+    /// `latency.e2e_us` end-to-end histogram (time since ingest at release).
+    e2e_hist: Option<Arc<Histogram>>,
+    /// `records.<protocol>` counters, one per port.
+    record_counters: Option<Vec<Arc<Counter>>>,
+    /// Feeds the bounded-latency control loop, when configured.
+    governor: Option<Arc<LoadGovernor>>,
+}
+
+impl MergeBlock {
+    fn new(n_ports: usize, outbox: &Arc<Mutex<Vec<PacketRecord>>>, fs: f64) -> Self {
+        Self {
+            n_ports,
+            held: Vec::new(),
+            arrivals: 0,
+            outbox: outbox.clone(),
+            wm: None,
+            fs,
+            released_below: f64::NEG_INFINITY,
+            journal: None,
+            journal_hist: None,
+            e2e_hist: None,
+            record_counters: None,
+            governor: None,
+        }
+    }
+
+    fn hold(&mut self, port: usize, rec: PacketRecord, ingest: Option<Instant>) {
+        self.held.push(Held {
+            rec,
+            port,
+            arrival: self.arrivals,
+            ingest,
+        });
+        self.arrivals += 1;
+    }
+
+    /// Releases every held record starting before `below` µs (all of them
+    /// for `None`), in final order.
+    fn release(&mut self, below: Option<f64>) {
+        if let Some(w) = below {
+            self.released_below = self.released_below.max(w);
+        }
+        let due = |h: &Held| below.is_none_or(|w| h.rec.start_us < w);
+        if !self.held.iter().any(due) {
+            return;
+        }
+        self.held.sort_by(|a, b| {
+            a.rec
+                .start_us
+                .total_cmp(&b.rec.start_us)
+                .then(a.port.cmp(&b.port))
+                .then(a.arrival.cmp(&b.arrival))
+        });
+        let n = self.held.partition_point(due);
+        let mut outbox = self.outbox.lock();
+        for h in self.held.drain(..n) {
+            if let Some(hist) = &self.e2e_hist {
+                crate::latency::record_since(hist, h.ingest);
+            }
+            if let Some(g) = &self.governor {
+                g.record_e2e(h.ingest);
+            }
+            outbox.push(h.rec);
+        }
+        drop(outbox);
+        if let Some(g) = &self.governor {
+            g.latency_tick();
+        }
+    }
+}
+
+impl Block for MergeBlock {
+    fn name(&self) -> &str {
+        "sink:records"
+    }
+    fn num_inputs(&self) -> usize {
+        self.n_ports
+    }
+    fn num_outputs(&self) -> usize {
+        0
+    }
+    fn work(
+        &mut self,
+        inputs: &mut [VecDeque<Payload>],
+        _outputs: &mut [Vec<Payload>],
+    ) -> WorkStatus {
+        for (port, queue) in inputs.iter_mut().enumerate() {
+            while let Some(p) = queue.pop_front() {
+                let StampedRecord { rec, ingest } = *p.downcast().expect("StampedRecord");
+                debug_assert!(
+                    rec.start_us >= self.released_below,
+                    "a record starting at {} µs arrived after the merge released below {} µs",
+                    rec.start_us,
+                    self.released_below
+                );
+                if let Some(j) = &self.journal {
+                    j.journal_record(port, &rec);
+                    if let Some(h) = &self.journal_hist {
+                        crate::latency::record_since(h, ingest);
+                    }
+                }
+                if let Some(cs) = &self.record_counters {
+                    cs[port].inc();
+                }
+                self.hold(port, rec, ingest);
+            }
+        }
+        if let Some(wm) = &self.wm {
+            let below = wm.low() as f64 / self.fs * 1e6;
+            self.release(Some(below));
         }
         WorkStatus::Again
+    }
+    fn finish(&mut self, _outputs: &mut [Vec<Payload>]) {
+        self.release(None);
+    }
+    fn pending(&self) -> bool {
+        self.wm.is_some() && !self.held.is_empty()
     }
 }
 
@@ -348,10 +744,17 @@ struct PeakDetectBlock {
     peak_counter: Option<Arc<Counter>>,
     /// `latency.detect_us` stage histogram when telemetry is on.
     detect_hist: Option<Arc<Histogram>>,
+    /// Publishes the detector's low watermark for the record merge.
+    wm: Option<Arc<Watermarks>>,
 }
 
 impl PeakDetectBlock {
-    fn new(cfg: &ArchConfig, registry: &Option<Arc<Registry>>, fs: f64) -> Self {
+    fn new(
+        cfg: &ArchConfig,
+        registry: &Option<Arc<Registry>>,
+        fs: f64,
+        wm: Option<Arc<Watermarks>>,
+    ) -> Self {
         Self {
             det: PeakDetector::new(
                 PeakDetectorConfig {
@@ -364,6 +767,7 @@ impl PeakDetectBlock {
             detect_hist: registry
                 .as_ref()
                 .map(|r| crate::latency::stage_histogram(r, crate::latency::DETECT)),
+            wm,
         }
     }
 
@@ -395,6 +799,9 @@ impl Block for PeakDetectBlock {
             self.det.push_chunk(&chunk, &mut peaks);
         }
         self.emit(peaks, outputs);
+        if let Some(wm) = &self.wm {
+            wm.peak.store(self.det.low_watermark(), Ordering::Relaxed);
+        }
         WorkStatus::Again
     }
     fn finish(&mut self, outputs: &mut [Vec<Payload>]) {
@@ -438,7 +845,6 @@ impl Block for ChunkTee {
 /// Continuous 802.11 receiver over the raw stream.
 struct NaiveWifiBlock {
     rx: rfd_phy::wifi::WifiRx,
-    fs: f64,
     buf: Vec<Complex32>,
 }
 
@@ -466,7 +872,7 @@ impl NaiveWifiBlock {
                     fcs_ok: r.fcs_ok,
                 },
             };
-            outputs[0].push(Box::new(rec));
+            outputs[0].push(Box::new(StampedRecord::bare(rec)));
         }
     }
 }
@@ -496,7 +902,6 @@ impl Block for NaiveWifiBlock {
         if !buf.is_empty() {
             self.rx.process(&buf);
         }
-        let _ = self.fs;
         self.flush_results(outputs);
     }
 }
@@ -549,62 +954,48 @@ impl Block for NaiveBtChannelBlock {
             self.rx.process(&chunk.samples);
         }
         for r in self.rx.take_results() {
-            outputs[0].push(Box::new(Self::record(self.fs, &r)));
+            outputs[0].push(Box::new(StampedRecord::bare(Self::record(self.fs, &r))));
         }
         WorkStatus::Again
     }
     fn finish(&mut self, outputs: &mut [Vec<Payload>]) {
         for r in self.rx.finish() {
-            outputs[0].push(Box::new(Self::record(self.fs, &r)));
+            outputs[0].push(Box::new(StampedRecord::bare(Self::record(self.fs, &r))));
         }
     }
 }
 
-fn run_naive(
+fn build_naive(
+    fg: &mut Flowgraph,
     cfg: &ArchConfig,
-    registry: &Option<Arc<Registry>>,
-    samples: &[Complex32],
     fs: f64,
-    trace_seconds: f64,
-    _gated: bool,
-) -> ArchOutput {
+    feed: &Arc<Mutex<Feed>>,
+    outbox: &Arc<Mutex<Vec<PacketRecord>>>,
+) {
     // One demodulator block per technology/channel, as in the paper's
     // Figure 1 (1 Wi-Fi receiver + one Bluetooth receiver per covered
-    // channel).
+    // channel), each on its own merge port: Wi-Fi first, then Bluetooth in
+    // channel order.
     let bt_channels: Vec<u8> = (0..rfd_phy::bluetooth::NUM_CHANNELS)
         .filter(|&ch| {
             (rfd_phy::bluetooth::hop::channel_freq_hz(ch) - cfg.band.center_hz).abs() + 0.5e6
                 <= fs / 2.0
         })
         .collect();
-    let mut fg = Flowgraph::new();
-    if let Some(reg) = registry {
-        fg.set_telemetry(reg.clone());
-    }
-    let src = fg.add(Box::new(ChunkSource::new(
-        samples,
-        fs,
-        cfg.chunk_samples,
-        None,
-        registry.is_some(),
-    )));
+    let src = add_source(fg, cfg, fs, feed, None);
     let tee = fg.add(Box::new(ChunkTee {
         n: 1 + bt_channels.len(),
     }));
     fg.connect(src, 0, tee, 0);
+    let merge = fg.add(Box::new(MergeBlock::new(1 + bt_channels.len(), outbox, fs)));
 
     let wifi = fg.add(Box::new(NaiveWifiBlock {
         rx: rfd_phy::wifi::WifiRx::new(fs),
-        fs,
         buf: Vec::new(),
     }));
-    let sink_w = Box::new(VecSink::<PacketRecord>::new("sink:records-wifi"));
-    let out_w = sink_w.storage();
-    let kw = fg.add(sink_w);
     fg.connect(tee, 0, wifi, 0);
-    fg.connect(wifi, 0, kw, 0);
+    fg.connect(wifi, 0, merge, 0);
 
-    let mut bt_outs = Vec::new();
     for (i, &ch) in bt_channels.iter().enumerate() {
         let offset = rfd_phy::bluetooth::hop::channel_freq_hz(ch) - cfg.band.center_hz;
         let blk = fg.add(Box::new(NaiveBtChannelBlock {
@@ -612,35 +1003,8 @@ fn run_naive(
             rx: rfd_phy::bluetooth::demod::BtChannelRx::new(ch, fs, offset, cfg.piconets.clone()),
             fs,
         }));
-        let sink = Box::new(VecSink::<PacketRecord>::new("sink:records-bt"));
-        bt_outs.push(sink.storage());
-        let k = fg.add(sink);
         fg.connect(tee, 1 + i, blk, 0);
-        fg.connect(blk, 0, k, 0);
-    }
-    let stats = run_graph(&mut fg, cfg.threaded);
-
-    let mut records: Vec<PacketRecord> = out_w.lock().clone();
-    for o in &bt_outs {
-        records.extend(o.lock().iter().cloned());
-    }
-    records.sort_by(|a, b| a.start_us.total_cmp(&b.start_us));
-    let classified = classified_from_records(&records, fs);
-    ArchOutput {
-        records,
-        classified,
-        dispatch_stats: None,
-        stats,
-        trace_seconds,
-        sample_rate: fs,
-        registry: None,
-        pool_stats: None,
-        faults: None,
-        governor: None,
-        latency: None,
-        panics: 0,
-        quarantined: Vec::new(),
-        recovery: None,
+        fg.connect(blk, 0, merge, 1 + i);
     }
 }
 
@@ -670,7 +1034,7 @@ impl Block for DemodAllBlock {
             // 802.11 demodulator.
             if let Some(rx) = rfd_phy::wifi::demodulate(&pk.samples, self.fs) {
                 let frame = rx.frame.as_ref();
-                outputs[0].push(Box::new(PacketRecord {
+                outputs[0].push(Box::new(StampedRecord::bare(PacketRecord {
                     protocol: Protocol::Wifi,
                     start_us: pk.start_us(),
                     end_us: pk.end_us(),
@@ -685,7 +1049,7 @@ impl Block for DemodAllBlock {
                         psdu_len: rx.psdu.len(),
                         fcs_ok: rx.fcs_ok,
                     },
-                }));
+                })));
             }
             // Every Bluetooth channel demodulator.
             for &ch in &self.channels {
@@ -698,7 +1062,7 @@ impl Block for DemodAllBlock {
                 );
                 rx.process(&pk.samples);
                 for r in rx.finish() {
-                    outputs[0].push(Box::new(PacketRecord {
+                    outputs[0].push(Box::new(StampedRecord::bare(PacketRecord {
                         protocol: Protocol::Bluetooth,
                         start_us: pk.start_us(),
                         end_us: pk.end_us(),
@@ -710,7 +1074,7 @@ impl Block for DemodAllBlock {
                             payload_len: r.parsed.as_ref().map(|p| p.payload.len()).unwrap_or(0),
                             crc_ok: r.parsed.as_ref().map(|p| p.crc_ok).unwrap_or(false),
                         },
-                    }));
+                    })));
                 }
             }
         }
@@ -718,25 +1082,16 @@ impl Block for DemodAllBlock {
     }
 }
 
-fn run_naive_energy(
+fn build_naive_energy(
+    fg: &mut Flowgraph,
     cfg: &ArchConfig,
     registry: &Option<Arc<Registry>>,
-    samples: &[Complex32],
     fs: f64,
-    trace_seconds: f64,
-) -> ArchOutput {
-    let mut fg = Flowgraph::new();
-    if let Some(reg) = registry {
-        fg.set_telemetry(reg.clone());
-    }
-    let src = fg.add(Box::new(ChunkSource::new(
-        samples,
-        fs,
-        cfg.chunk_samples,
-        None,
-        registry.is_some(),
-    )));
-    let peak = fg.add(Box::new(PeakDetectBlock::new(cfg, registry, fs)));
+    feed: &Arc<Mutex<Feed>>,
+    outbox: &Arc<Mutex<Vec<PacketRecord>>>,
+) {
+    let src = add_source(fg, cfg, fs, feed, None);
+    let peak = fg.add(Box::new(PeakDetectBlock::new(cfg, registry, fs, None)));
     let channels: Vec<u8> = (0..rfd_phy::bluetooth::NUM_CHANNELS)
         .filter(|&ch| {
             (rfd_phy::bluetooth::hop::channel_freq_hz(ch) - cfg.band.center_hz).abs() + 0.5e6
@@ -750,32 +1105,10 @@ fn run_naive_energy(
         channels,
         demodulate: cfg.demodulate,
     }));
-    let sink = Box::new(VecSink::<PacketRecord>::new("sink:records"));
-    let out = sink.storage();
-    let k = fg.add(sink);
+    let merge = fg.add(Box::new(MergeBlock::new(1, outbox, fs)));
     fg.connect(src, 0, peak, 0);
     fg.connect(peak, 0, demod, 0);
-    fg.connect(demod, 0, k, 0);
-    let stats = run_graph(&mut fg, cfg.threaded);
-    let mut records = out.lock().clone();
-    records.sort_by(|a, b| a.start_us.total_cmp(&b.start_us));
-    let classified = classified_from_records(&records, fs);
-    ArchOutput {
-        records,
-        classified,
-        dispatch_stats: None,
-        stats,
-        trace_seconds,
-        sample_rate: fs,
-        registry: None,
-        pool_stats: None,
-        faults: None,
-        governor: None,
-        latency: None,
-        panics: 0,
-        quarantined: Vec::new(),
-        recovery: None,
-    }
+    fg.connect(demod, 0, merge, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -819,9 +1152,18 @@ struct DetectDispatchBlock {
     /// scheduler — commits at `work` entry, when everything previously
     /// emitted is known-sunk.
     journal: Option<Arc<crate::durability::JournalState>>,
+    /// Publishes the dispatcher's low watermark for the record merge.
+    wm: Option<Arc<Watermarks>>,
 }
 
 impl DetectDispatchBlock {
+    fn publish_watermark(&self) {
+        if let Some(wm) = &self.wm {
+            let low = self.dispatcher.low_watermark().unwrap_or(u64::MAX);
+            wm.dispatch.store(low, Ordering::Relaxed);
+        }
+    }
+
     fn route(&self, dispatches: Vec<Dispatch>, outputs: &mut [Vec<Payload>]) {
         let mut classified = self.classified.lock();
         for d in dispatches {
@@ -957,6 +1299,7 @@ impl Block for DetectDispatchBlock {
             let dispatches = self.dispatcher.on_peak(*pk, votes);
             self.route(dispatches, outputs);
         }
+        self.publish_watermark();
         WorkStatus::Again
     }
     fn finish(&mut self, outputs: &mut [Vec<Payload>]) {
@@ -968,17 +1311,9 @@ impl Block for DetectDispatchBlock {
         let _ = votes;
         let dispatches = self.dispatcher.finish();
         self.route(dispatches, outputs);
+        self.publish_watermark();
         *self.stats_out.lock() = Some(self.dispatcher.stats().clone());
     }
-}
-
-/// A record plus its dispatch's ingest stamp, passed from [`AnalyzerBlock`]
-/// to [`RecordSinkBlock`] on the single-threaded graph. The stamp rides in
-/// the payload — never inside [`PacketRecord`] — so serialized records and
-/// record equality stay byte-identical with and without telemetry.
-struct StampedRecord {
-    rec: PacketRecord,
-    ingest: Option<Instant>,
 }
 
 /// Wraps an [`Analyzer`] as a flowgraph block, with the same supervision
@@ -1095,7 +1430,10 @@ impl Block for AnalyzerBlock {
                 }));
                 let dur = t0.elapsed();
                 let recs = match recs {
-                    Ok(recs) => recs,
+                    Ok(recs) => {
+                        crate::analyze::debug_assert_starts(&d, &recs, self.analyzer.name());
+                        recs
+                    }
                     Err(_) => {
                         self.panics_out.fetch_add(1, Ordering::Relaxed);
                         self.strikes += 1;
@@ -1166,57 +1504,25 @@ impl Block for AnalyzerBlock {
 /// uses for its analyzer blocks.
 const POOL_BLOCK_NAME: &str = "analyze:pool";
 
-/// The pooled analysis stage as a flowgraph block: dispatches in, nothing
-/// out of the graph — records accumulate per output port behind shared
-/// storage, mirroring the per-analyzer sinks of the single-threaded graph
-/// so final record assembly is identical in both modes.
+/// The pooled analysis stage as a flowgraph block: dispatches in, records
+/// out on one port per analyzer, in the pool's deterministic merge order —
+/// the same per-port sequences the single-threaded analyzer blocks emit.
 struct PooledAnalyzeBlock {
     pool: Option<AnalysisPool>,
-    per_port: Arc<Mutex<Vec<Vec<PacketRecord>>>>,
+    n_ports: usize,
     result: Arc<Mutex<Option<PooledAnalysis>>>,
-    /// Durability: records are journaled as they merge out of the
-    /// reorderer, then the pool's merge watermark (offset by the recovered
-    /// base) becomes the commit — everything below it is durable.
+    /// Durability: the pool's merge watermark (offset by the recovered
+    /// base) becomes the commit once the records below it are journaled.
     journal: Option<Arc<crate::durability::JournalState>>,
-    /// `latency.journal_us` stage histogram (time since ingest at append).
-    journal_hist: Option<Arc<Histogram>>,
-    /// `latency.e2e_us` end-to-end histogram (time since ingest at store).
-    e2e_hist: Option<Arc<Histogram>>,
-    /// `records.<protocol>` counters, one per output port.
-    record_counters: Option<Vec<Arc<Counter>>>,
-    /// Feeds the bounded-latency control loop, when configured.
-    governor: Option<Arc<LoadGovernor>>,
+    /// Commit at `work` entry: on the sweep scheduler the merge has
+    /// journaled everything this block emitted in earlier sweeps by then.
+    /// The one-thread-per-block scheduler has no such barrier and commits
+    /// only at the end of the run.
+    sweep_commits: bool,
+    wm: Option<Arc<Watermarks>>,
 }
 
 impl PooledAnalyzeBlock {
-    fn store(&self, recs: Vec<(usize, PacketRecord, Option<Instant>)>) {
-        if recs.is_empty() {
-            return;
-        }
-        let mut pp = self.per_port.lock();
-        for (port, r, ingest) in recs {
-            if let Some(j) = &self.journal {
-                j.journal_record(port, &r);
-                if let Some(h) = &self.journal_hist {
-                    crate::latency::record_since(h, ingest);
-                }
-            }
-            if let Some(cs) = &self.record_counters {
-                cs[port].inc();
-            }
-            if let Some(h) = &self.e2e_hist {
-                crate::latency::record_since(h, ingest);
-            }
-            if let Some(g) = &self.governor {
-                g.record_e2e(ingest);
-            }
-            pp[port].push(r);
-        }
-        drop(pp);
-        if let Some(g) = &self.governor {
-            g.latency_tick();
-        }
-    }
     /// Journals a commit at the pool's merge watermark: submissions are the
     /// dense dispatch sequence minus the recovered prefix, so pool-local
     /// merge position `k` means absolute dispatch `base + k` is durable.
@@ -1227,6 +1533,12 @@ impl PooledAnalyzeBlock {
         j.set_strikes(&pool.strike_counts());
         j.commit(j.base() + pool.merged_seq());
     }
+
+    fn emit(recs: Vec<(usize, PacketRecord, Option<Instant>)>, outputs: &mut [Vec<Payload>]) {
+        for (port, rec, ingest) in recs {
+            outputs[port].push(Box::new(StampedRecord { rec, ingest }));
+        }
+    }
 }
 
 impl Block for PooledAnalyzeBlock {
@@ -1234,93 +1546,43 @@ impl Block for PooledAnalyzeBlock {
         POOL_BLOCK_NAME
     }
     fn num_outputs(&self) -> usize {
-        0
+        self.n_ports
     }
     fn work(
         &mut self,
         inputs: &mut [VecDeque<Payload>],
-        _outputs: &mut [Vec<Payload>],
+        outputs: &mut [Vec<Payload>],
     ) -> WorkStatus {
-        let ready = {
-            let pool = self.pool.as_mut().expect("pool lives until finish");
-            while let Some(p) = inputs[0].pop_front() {
-                let d = p.downcast::<Dispatch>().expect("Dispatch");
-                // Blocks when the injector is full: backpressure toward the
-                // detection stage (and, through it, the trace reader).
-                pool.submit(*d);
-            }
-            pool.drain_ordered()
-        };
-        self.store(ready);
-        self.commit_merged();
+        if self.sweep_commits {
+            self.commit_merged();
+        }
+        let pool = self.pool.as_mut().expect("pool lives until finish");
+        while let Some(p) = inputs[0].pop_front() {
+            let d = p.downcast::<Dispatch>().expect("Dispatch");
+            // Blocks when the injector is full: backpressure toward the
+            // detection stage (and, through it, the trace reader).
+            pool.submit(*d);
+        }
+        Self::emit(pool.drain_ordered(), outputs);
+        if let Some(wm) = &self.wm {
+            wm.pool
+                .store(pool.low_watermark().unwrap_or(u64::MAX), Ordering::Relaxed);
+        }
         WorkStatus::Again
     }
-    fn finish(&mut self, _outputs: &mut [Vec<Payload>]) {
+    fn finish(&mut self, outputs: &mut [Vec<Payload>]) {
         let pool = self.pool.take().expect("finish called exactly once");
         let (rest, result) = pool.finish();
-        self.store(rest);
+        Self::emit(rest, outputs);
         *self.result.lock() = Some(result);
-    }
-}
-
-/// Record sink for the single-threaded graph: stores records like a
-/// `VecSink` and — when journaling — appends each one to the write-ahead
-/// journal as it arrives, so the log is complete before the detect block's
-/// next sweep commits.
-struct RecordSinkBlock {
-    storage: Arc<Mutex<Vec<PacketRecord>>>,
-    journal: Option<Arc<crate::durability::JournalState>>,
-    port: usize,
-    /// `latency.journal_us` stage histogram (time since ingest at append).
-    journal_hist: Option<Arc<Histogram>>,
-    /// `latency.e2e_us` end-to-end histogram (time since ingest at sink).
-    e2e_hist: Option<Arc<Histogram>>,
-    /// `records.<protocol>` counter for this port's protocol.
-    record_counter: Option<Arc<Counter>>,
-    /// Feeds the bounded-latency control loop, when configured.
-    governor: Option<Arc<LoadGovernor>>,
-}
-
-impl Block for RecordSinkBlock {
-    fn name(&self) -> &str {
-        "sink:records"
-    }
-    fn num_outputs(&self) -> usize {
-        0
-    }
-    fn work(
-        &mut self,
-        inputs: &mut [VecDeque<Payload>],
-        _outputs: &mut [Vec<Payload>],
-    ) -> WorkStatus {
-        let mut stored = false;
-        while let Some(p) = inputs[0].pop_front() {
-            let sr = p.downcast::<StampedRecord>().expect("StampedRecord");
-            let StampedRecord { rec, ingest } = *sr;
-            if let Some(j) = &self.journal {
-                j.journal_record(self.port, &rec);
-                if let Some(h) = &self.journal_hist {
-                    crate::latency::record_since(h, ingest);
-                }
-            }
-            if let Some(c) = &self.record_counter {
-                c.inc();
-            }
-            if let Some(h) = &self.e2e_hist {
-                crate::latency::record_since(h, ingest);
-            }
-            if let Some(g) = &self.governor {
-                g.record_e2e(ingest);
-            }
-            self.storage.lock().push(rec);
-            stored = true;
+        if let Some(wm) = &self.wm {
+            wm.pool.store(u64::MAX, Ordering::Relaxed);
         }
-        if stored {
-            if let Some(g) = &self.governor {
-                g.latency_tick();
-            }
-        }
-        WorkStatus::Again
+    }
+    fn pending(&self) -> bool {
+        self.pool
+            .as_ref()
+            .is_some_and(|p| p.low_watermark().is_some())
     }
 }
 
@@ -1384,14 +1646,31 @@ fn build_detectors(cfg: &ArchConfig, set: DetectorSet, fs: f64) -> Vec<Box<dyn F
     v
 }
 
-fn run_rfdump(
+/// RFDump state shared with the graph's blocks and read back when the
+/// stream finishes.
+struct RfDumpParts {
+    pooled: bool,
+    timings: Arc<Mutex<Vec<(String, Duration)>>>,
+    classified: Arc<Mutex<Vec<ClassifiedPeak>>>,
+    dstats: Arc<Mutex<Option<DispatchStats>>>,
+    pool_result: Arc<Mutex<Option<PooledAnalysis>>>,
+    az_panics: Arc<AtomicU64>,
+    az_quarantined: Arc<Mutex<Vec<String>>>,
+    governor: Option<Arc<LoadGovernor>>,
+    journal: Option<Arc<crate::durability::JournalState>>,
+}
+
+#[allow(clippy::too_many_arguments)]
+fn build_rfdump(
+    fg: &mut Flowgraph,
     cfg: &ArchConfig,
     registry: &Option<Arc<Registry>>,
     set: DetectorSet,
-    samples: &[Complex32],
     fs: f64,
-    trace_seconds: f64,
-) -> ArchOutput {
+    len: Option<u64>,
+    feed: &Arc<Mutex<Feed>>,
+    outbox: &Arc<Mutex<Vec<PacketRecord>>>,
+) -> RfDumpParts {
     // Analyzer lineup.
     let analyzers = make_analyzers(cfg, fs);
     let ports: Vec<Protocol> = analyzers.iter().map(|a| a.protocol()).collect();
@@ -1403,23 +1682,18 @@ fn run_rfdump(
             g.set_registry(reg.clone());
         }
     }
-    // Bounded-latency mode needs ingest stamps even with telemetry off:
-    // the budget loop is fed by sample->record latencies.
-    let budgeted = governor
-        .as_ref()
-        .is_some_and(|g| g.latency_budget_us().is_some());
-    let stamp = registry.is_some() || budgeted;
 
     // Crash-safe durability: open (or recover) the journal before the graph
-    // is built, so recovered record streams can seed the sinks and the
+    // is built, so recovered record streams can seed the merge and the
     // recovered commit watermark can gate dispatch forwarding. An IO error
     // here degrades to a non-durable run rather than failing it.
     let mut recovered = None;
     let journal = cfg.durability.as_ref().and_then(|d| {
-        let n_samples = samples.len() as u64;
-        let fingerprint = crate::durability::config_fingerprint(cfg, n_samples, fs);
+        // A live stream's length is unknown up front: fingerprint it as
+        // unbounded.
+        let fingerprint = crate::durability::config_fingerprint(cfg, len.unwrap_or(u64::MAX), fs);
         // Intermediate sweep commits are only sound on the single-threaded
-        // scheduler; the pooled commit path is scheduler-agnostic.
+        // scheduler; the pooled block commits on its own (see below).
         let single_commit = !pooled && !cfg.threaded;
         match crate::durability::JournalState::prepare(
             d,
@@ -1443,16 +1717,6 @@ fn run_rfdump(
     if let (Some(g), Some(r)) = (&governor, &recovered) {
         g.restore_level(r.governor_level);
     }
-    // Recovered per-port record streams seed the sinks (single-threaded) or
-    // the pooled per-port storage, exactly where the crashed run left them.
-    let mut seeded: Vec<Vec<PacketRecord>> = match recovered.as_mut() {
-        Some(r) => {
-            let mut v = std::mem::take(&mut r.per_port);
-            v.resize(ports.len(), Vec::new());
-            v
-        }
-        None => vec![Vec::new(); ports.len()],
-    };
 
     let detectors = build_detectors(cfg, set, fs);
     let timings = Arc::new(Mutex::new(
@@ -1484,37 +1748,16 @@ fn run_rfdump(
         None => Dispatcher::new(DispatchConfig::default()),
     };
 
-    // Stage-latency histograms and per-protocol record counters (telemetry
-    // runs only; see `crate::latency` for the stamp-point conventions).
-    let dispatch_hist = registry
-        .as_ref()
-        .map(|r| crate::latency::stage_histogram(r, crate::latency::DISPATCH));
-    let journal_hist = registry
-        .as_ref()
-        .filter(|_| journal.is_some())
-        .map(|r| crate::latency::stage_histogram(r, crate::latency::JOURNAL));
-    let e2e_hist = registry
-        .as_ref()
-        .map(|r| crate::latency::stage_histogram(r, crate::latency::E2E));
-    let record_counters: Option<Vec<Arc<Counter>>> = registry.as_ref().map(|r| {
-        ports
-            .iter()
-            .map(|p| r.counter(&format!("records.{}", p.name())))
-            .collect()
-    });
-
-    let mut fg = Flowgraph::new();
-    if let Some(reg) = registry {
-        fg.set_telemetry(reg.clone());
-    }
-    let src = fg.add(Box::new(ChunkSource::new(
-        samples,
+    // The low watermark exists only where the sweep scheduler orders the
+    // merge after every stage that publishes into it.
+    let wm = (!cfg.threaded).then(|| Arc::new(Watermarks::new()));
+    let src = add_source(fg, cfg, fs, feed, governor.clone());
+    let peak = fg.add(Box::new(PeakDetectBlock::new(
+        cfg,
+        registry,
         fs,
-        cfg.chunk_samples,
-        governor.clone(),
-        stamp,
+        wm.clone(),
     )));
-    let peak = fg.add(Box::new(PeakDetectBlock::new(cfg, registry, fs)));
     let detect = fg.add(Box::new(DetectDispatchBlock {
         detectors,
         dispatcher,
@@ -1527,18 +1770,45 @@ fn run_rfdump(
         faults: cfg.faults.clone(),
         governor: governor.clone(),
         registry: registry.clone(),
-        dispatch_hist,
+        dispatch_hist: registry
+            .as_ref()
+            .map(|r| crate::latency::stage_histogram(r, crate::latency::DISPATCH)),
         journal: journal.clone(),
+        wm: wm.clone(),
     }));
     fg.connect(src, 0, peak, 0);
     fg.connect(peak, 0, detect, 0);
 
-    let mut outs = Vec::new();
-    let per_port = Arc::new(Mutex::new(if pooled {
-        std::mem::take(&mut seeded)
-    } else {
-        Vec::new()
-    }));
+    // The merge: stage-latency histograms and per-protocol record counters
+    // on telemetry runs (see `crate::latency` for the stamp points), and
+    // the recovered per-port record streams, exactly where the crashed run
+    // left them.
+    let mut merge = MergeBlock::new(ports.len(), outbox, fs);
+    merge.wm = wm.clone();
+    merge.journal = journal.clone();
+    merge.journal_hist = registry
+        .as_ref()
+        .filter(|_| journal.is_some())
+        .map(|r| crate::latency::stage_histogram(r, crate::latency::JOURNAL));
+    merge.e2e_hist = registry
+        .as_ref()
+        .map(|r| crate::latency::stage_histogram(r, crate::latency::E2E));
+    merge.record_counters = registry.as_ref().map(|r| {
+        ports
+            .iter()
+            .map(|p| r.counter(&format!("records.{}", p.name())))
+            .collect()
+    });
+    merge.governor = governor.clone();
+    if let Some(r) = recovered.as_mut() {
+        for (port, recs) in std::mem::take(&mut r.per_port).into_iter().enumerate() {
+            for rec in recs {
+                merge.hold(port, rec, None);
+            }
+        }
+    }
+    let merge = fg.add(Box::new(merge));
+
     let pool_result = Arc::new(Mutex::new(None));
     let az_panics = Arc::new(AtomicU64::new(0));
     let az_quarantined = Arc::new(Mutex::new(Vec::new()));
@@ -1558,17 +1828,18 @@ fn run_rfdump(
         }
         let blk = fg.add(Box::new(PooledAnalyzeBlock {
             pool: Some(pool),
-            per_port: per_port.clone(),
+            n_ports: ports.len(),
             result: pool_result.clone(),
             journal: journal.clone(),
-            journal_hist,
-            e2e_hist,
-            record_counters,
-            governor: governor.clone(),
+            sweep_commits: !cfg.threaded,
+            wm,
         }));
         fg.connect(detect, 0, blk, 0);
+        for port in 0..ports.len() {
+            fg.connect(blk, port, merge, port);
+        }
     } else {
-        for ((i, az), init) in analyzers.into_iter().enumerate().zip(seeded) {
+        for (i, az) in analyzers.into_iter().enumerate() {
             let initial_strikes = recovered
                 .as_ref()
                 .and_then(|r| r.strikes.get(i).copied())
@@ -1584,111 +1855,105 @@ fn run_rfdump(
                 initial_strikes,
                 journal.as_ref().map(|j| (j.clone(), i)),
             )));
-            let storage = Arc::new(Mutex::new(init));
-            outs.push(storage.clone());
-            let k = fg.add(Box::new(RecordSinkBlock {
-                storage,
-                journal: journal.clone(),
-                port: i,
-                journal_hist: journal_hist.clone(),
-                e2e_hist: e2e_hist.clone(),
-                record_counter: record_counters.as_ref().map(|cs| cs[i].clone()),
-                governor: governor.clone(),
-            }));
             fg.connect(detect, i, blk, 0);
-            fg.connect(blk, 0, k, 0);
+            fg.connect(blk, 0, merge, i);
         }
     }
+    RfDumpParts {
+        pooled,
+        timings,
+        classified,
+        dstats,
+        pool_result,
+        az_panics,
+        az_quarantined,
+        governor,
+        journal,
+    }
+}
 
-    let mut stats = run_graph(&mut fg, cfg.threaded);
-    // Everything emitted is now merged and sunk: commit it, checkpoint, and
-    // make the journal durable before reporting.
-    if let Some(j) = &journal {
-        j.finalize_run();
-    }
-    // Break out per-detector timings as pseudo-blocks. Their CPU was spent
-    // inside the dispatch block's `work()` and is already counted there, so
-    // move it out of that row rather than adding it twice — `total_cpu()`
-    // must stay <= wall on a single thread.
-    let detector_cpu: Duration = timings.lock().iter().map(|(_, cpu)| *cpu).sum();
-    if let Some(b) = stats
-        .blocks
-        .iter_mut()
-        .find(|b| b.name == DISPATCH_BLOCK_NAME)
-    {
-        b.cpu = b.cpu.saturating_sub(detector_cpu);
-    }
-    for (name, cpu) in timings.lock().iter() {
-        stats.blocks.push(rfd_flowgraph::BlockStats {
-            name: name.clone(),
-            cpu: *cpu,
-            items_in: 0,
-            items_out: 0,
-        });
-    }
-
-    // Pooled runs: surface worker CPU as one pseudo-row per analyzer, under
-    // the same names the single-threaded analyzer blocks use, so stage and
-    // per-analyzer accounting is comparable across modes. The pool block's
-    // own row spent most of its measured time *blocked* on submit/join while
-    // workers ran that same analyzer CPU, so carve the analyzer total out of
-    // it (same saturating treatment as the detector timings above).
-    let mut pool_stats = None;
-    let mut panics = az_panics.load(Ordering::Relaxed);
-    let mut quarantined = az_quarantined.lock().clone();
-    if pooled {
-        let result = pool_result.lock().take().expect("pooled run finished");
-        let analyzer_cpu: Duration = result.analyzers.iter().map(|a| a.cpu).sum();
-        if let Some(b) = stats.blocks.iter_mut().find(|b| b.name == POOL_BLOCK_NAME) {
-            b.cpu = b.cpu.saturating_sub(analyzer_cpu);
+impl RfDumpParts {
+    fn finish(
+        self,
+        mut stats: RunStats,
+        records: Vec<PacketRecord>,
+        trace_seconds: f64,
+        fs: f64,
+    ) -> ArchOutput {
+        // Everything emitted is now merged and journaled: commit it,
+        // checkpoint, and make the journal durable before reporting.
+        if let Some(j) = &self.journal {
+            j.finalize_run();
         }
-        for a in &result.analyzers {
+        // Break out per-detector timings as pseudo-blocks. Their CPU was spent
+        // inside the dispatch block's `work()` and is already counted there, so
+        // move it out of that row rather than adding it twice — `total_cpu()`
+        // must stay <= wall on a single thread.
+        let detector_cpu: Duration = self.timings.lock().iter().map(|(_, cpu)| *cpu).sum();
+        if let Some(b) = stats
+            .blocks
+            .iter_mut()
+            .find(|b| b.name == DISPATCH_BLOCK_NAME)
+        {
+            b.cpu = b.cpu.saturating_sub(detector_cpu);
+        }
+        for (name, cpu) in self.timings.lock().iter() {
             stats.blocks.push(rfd_flowgraph::BlockStats {
-                name: a.name.clone(),
-                cpu: a.cpu,
-                items_in: a.items_in,
-                items_out: a.items_out,
+                name: name.clone(),
+                cpu: *cpu,
+                items_in: 0,
+                items_out: 0,
             });
         }
-        panics = result.panics;
-        quarantined = result.quarantined.clone();
-        pool_stats = Some(result.pool);
-    }
 
-    // Per-port record streams concatenate in port order and stable-sort by
-    // start time — identically in both modes, so the output byte stream is
-    // independent of the worker count.
-    let mut records: Vec<PacketRecord> = Vec::new();
-    if pooled {
-        for port in per_port.lock().iter_mut() {
-            records.append(port);
+        // Pooled runs: surface worker CPU as one pseudo-row per analyzer, under
+        // the same names the single-threaded analyzer blocks use, so stage and
+        // per-analyzer accounting is comparable across modes. The pool block's
+        // own row spent most of its measured time *blocked* on submit/join while
+        // workers ran that same analyzer CPU, so carve the analyzer total out of
+        // it (same saturating treatment as the detector timings above).
+        let mut pool_stats = None;
+        let mut panics = self.az_panics.load(Ordering::Relaxed);
+        let mut quarantined = self.az_quarantined.lock().clone();
+        if self.pooled {
+            let result = self.pool_result.lock().take().expect("pooled run finished");
+            let analyzer_cpu: Duration = result.analyzers.iter().map(|a| a.cpu).sum();
+            if let Some(b) = stats.blocks.iter_mut().find(|b| b.name == POOL_BLOCK_NAME) {
+                b.cpu = b.cpu.saturating_sub(analyzer_cpu);
+            }
+            for a in &result.analyzers {
+                stats.blocks.push(rfd_flowgraph::BlockStats {
+                    name: a.name.clone(),
+                    cpu: a.cpu,
+                    items_in: a.items_in,
+                    items_out: a.items_out,
+                });
+            }
+            panics = result.panics;
+            quarantined = result.quarantined.clone();
+            pool_stats = Some(result.pool);
         }
-    } else {
-        for o in outs {
-            records.extend(o.lock().iter().cloned());
-        }
-    }
-    records.sort_by(|a, b| a.start_us.total_cmp(&b.start_us));
 
-    let classified = Arc::try_unwrap(classified)
-        .map(|m| m.into_inner())
-        .unwrap_or_else(|arc| arc.lock().clone());
-    let dispatch_stats = dstats.lock().clone();
-    ArchOutput {
-        records,
-        classified,
-        dispatch_stats,
-        stats,
-        trace_seconds,
-        sample_rate: fs,
-        registry: None,
-        pool_stats,
-        faults: None,
-        governor: governor.as_ref().map(|g| g.report()),
-        latency: governor.as_ref().and_then(|g| g.latency_report()),
-        panics,
-        quarantined,
-        recovery: journal.as_ref().map(|j| j.report()),
+        let classified = Arc::try_unwrap(self.classified)
+            .map(|m| m.into_inner())
+            .unwrap_or_else(|arc| arc.lock().clone());
+        let dispatch_stats = self.dstats.lock().clone();
+        ArchOutput {
+            records,
+            classified,
+            dispatch_stats,
+            stats,
+            trace_seconds,
+            sample_rate: fs,
+            registry: None,
+            pool_stats,
+            faults: None,
+            governor: self.governor.as_ref().map(|g| g.report()),
+            latency: self.governor.as_ref().and_then(|g| g.latency_report()),
+            panics,
+            quarantined,
+            recovery: self.journal.as_ref().map(|j| j.report()),
+        }
     }
 }
 
@@ -1739,6 +2004,122 @@ mod tests {
             scene.set_node(n, 0.0, 0.0);
         }
         scene.render(&events, horizon)
+    }
+
+    fn rec(start_us: f64, protocol: Protocol) -> PacketRecord {
+        PacketRecord {
+            protocol,
+            start_us,
+            end_us: start_us + 100.0,
+            snr_db: 20.0,
+            channel: None,
+            info: PacketInfo::DetectedOnly { confidence: 0.9 },
+        }
+    }
+
+    fn record_payload(r: PacketRecord) -> Payload {
+        Box::new(StampedRecord::bare(r))
+    }
+
+    #[test]
+    fn merge_releases_below_the_watermark_in_final_order() {
+        let outbox = Arc::new(Mutex::new(Vec::new()));
+        let wm = Arc::new(Watermarks::new());
+        let mut merge = MergeBlock::new(2, &outbox, 1e6);
+        merge.wm = Some(wm.clone());
+        // 1 sample = 1 µs at 1 Msps.
+        wm.peak.store(250, Ordering::Relaxed);
+        let mut inputs = vec![VecDeque::new(), VecDeque::new()];
+        inputs[1].push_back(record_payload(rec(100.0, Protocol::Bluetooth)));
+        inputs[0].push_back(record_payload(rec(300.0, Protocol::Wifi)));
+        inputs[0].push_back(record_payload(rec(100.0, Protocol::Wifi)));
+        inputs[1].push_back(record_payload(rec(50.0, Protocol::Bluetooth)));
+        merge.work(&mut inputs, &mut []);
+        let starts = |v: &[PacketRecord]| -> Vec<(f64, Protocol)> {
+            v.iter().map(|r| (r.start_us, r.protocol)).collect()
+        };
+        // Start, then port (wifi is port 0); the 300 µs record waits.
+        assert_eq!(
+            starts(&outbox.lock()),
+            vec![
+                (50.0, Protocol::Bluetooth),
+                (100.0, Protocol::Wifi),
+                (100.0, Protocol::Bluetooth)
+            ]
+        );
+        assert!(merge.pending());
+        merge.finish(&mut []);
+        assert_eq!(outbox.lock().len(), 4);
+        assert_eq!(outbox.lock()[3].start_us, 300.0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "arrived after the merge released below")]
+    fn merge_asserts_no_record_arrives_behind_the_watermark() {
+        let outbox = Arc::new(Mutex::new(Vec::new()));
+        let wm = Arc::new(Watermarks::new());
+        let mut merge = MergeBlock::new(1, &outbox, 1e6);
+        merge.wm = Some(wm.clone());
+        wm.peak.store(500, Ordering::Relaxed);
+        let mut inputs = vec![VecDeque::new()];
+        merge.work(&mut inputs, &mut []);
+        inputs[0].push_back(record_payload(rec(400.0, Protocol::Wifi)));
+        merge.work(&mut inputs, &mut []);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "starting before its dispatch's block start")]
+    fn analyzers_may_not_emit_records_before_their_dispatch() {
+        /// Emits a record 1 ms before the peak it was handed.
+        struct Early;
+        impl Analyzer for Early {
+            fn name(&self) -> &str {
+                "analyze:early"
+            }
+            fn protocol(&self) -> Protocol {
+                Protocol::Wifi
+            }
+            fn analyze(&mut self, d: &Dispatch) -> Vec<PacketRecord> {
+                vec![rec(d.block.start_us() - 1_000.0, Protocol::Wifi)]
+            }
+        }
+        let mut blk = AnalyzerBlock::new(
+            Box::new(Early),
+            true,
+            &None,
+            None,
+            None,
+            Arc::new(AtomicU64::new(0)),
+            Arc::new(Mutex::new(Vec::new())),
+            0,
+            None,
+        );
+        let d = Dispatch {
+            seq: 0,
+            block: PeakBlock {
+                peak: crate::chunk::Peak {
+                    id: 0,
+                    start: 8_000,
+                    end: 9_000,
+                    mean_power: 1.0,
+                    noise_floor: 1e-4,
+                },
+                samples: Arc::new(vec![Complex32::ZERO; 1_080]),
+                sample_start: 7_960,
+                sample_rate: 8e6,
+                ingest: None,
+            },
+            votes: vec![crate::dispatch::Vote {
+                protocol: Protocol::Wifi,
+                confidence: 0.9,
+                channel: None,
+                range: None,
+            }],
+        };
+        let mut inputs = vec![VecDeque::from([Box::new(d) as Payload])];
+        blk.work(&mut inputs, &mut [Vec::new()]);
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //! Because timing detectors classify peaks *retroactively* (a data frame is
 //! only recognizable as 802.11 once its SIFS-spaced ACK appears), the
 //! dispatcher holds each peak in a small pending window before finalizing
-//! its classification. RFDump tolerates this latency by design — the paper's
-//! monitoring requirement is throughput, not reaction time.
+//! its classification. That latency is bounded by `hold_peaks`: a peak is
+//! final once `hold_peaks` later peaks have arrived (or the stream ends),
+//! and [`Dispatcher::low_watermark`] lets the record merge release
+//! everything older than the oldest peak still held.
 
 use crate::analyze::{detected_only_record, Analyzer};
 use crate::chunk::PeakBlock;
@@ -19,7 +21,7 @@ use rfd_flowgraph::sync::Mutex;
 use rfd_phy::Protocol;
 use rfd_telemetry::event::EventKind;
 use rfd_telemetry::{Counter, Histogram, Registry};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -142,7 +144,7 @@ impl DispatchTelemetry {
 /// The dispatcher.
 pub struct Dispatcher {
     cfg: DispatchConfig,
-    pending: std::collections::VecDeque<PendingPeak>,
+    pending: VecDeque<PendingPeak>,
     stats: DispatchStats,
     tel: Option<DispatchTelemetry>,
     next_seq: u64,
@@ -215,6 +217,13 @@ impl Dispatcher {
             }
         }
         out
+    }
+
+    /// Start sample of the oldest peak still pending, if any. Pending peaks
+    /// arrive in start order, so every dispatch not yet emitted starts at
+    /// or after this sample.
+    pub fn low_watermark(&self) -> Option<u64> {
+        self.pending.front().map(|p| p.block.peak.start)
     }
 
     /// The accumulated statistics.
@@ -339,6 +348,9 @@ pub struct AnalysisPool {
     merge_hist: Option<Arc<Histogram>>,
     /// Pool restarts already reported as [`EventKind::WorkerRespawn`].
     reported_restarts: u64,
+    /// Peak starts of submitted dispatches not yet merged out, in
+    /// submission order (see [`AnalysisPool::low_watermark`]).
+    inflight: VecDeque<u64>,
 }
 
 impl AnalysisPool {
@@ -457,7 +469,10 @@ impl AnalysisPool {
                         }));
                         let dur = t0.elapsed();
                         let recs = match recs {
-                            Ok(recs) => recs,
+                            Ok(recs) => {
+                                crate::analyze::debug_assert_starts(&d, &recs, az.name());
+                                recs
+                            }
                             Err(_) => {
                                 panics.fetch_add(1, Ordering::Relaxed);
                                 let s = strikes[port].fetch_add(1, Ordering::Relaxed) + 1;
@@ -528,6 +543,7 @@ impl AnalysisPool {
             registry,
             merge_hist,
             reported_restarts: 0,
+            inflight: VecDeque::new(),
         }
     }
 
@@ -568,6 +584,7 @@ impl AnalysisPool {
     /// Submits a finalized dispatch; blocks while the injector is full
     /// (backpressure toward the detection stage).
     pub fn submit(&mut self, d: Dispatch) {
+        self.inflight.push_back(d.block.peak.start);
         self.pool.submit(d);
         self.note_restarts();
     }
@@ -609,7 +626,19 @@ impl AnalysisPool {
             }
             out.extend(recs.into_iter().map(|(port, r)| (port, r, ingest)));
         }
+        let unmerged = (self.pool.submitted() - self.reorder.next_seq()) as usize;
+        while self.inflight.len() > unmerged {
+            self.inflight.pop_front();
+        }
         out
+    }
+
+    /// Start sample of the oldest submitted dispatch whose records have not
+    /// been merged out yet, if any. Dispatches are submitted in start
+    /// order, so every record still to come from the pool starts at or
+    /// after this sample.
+    pub fn low_watermark(&self) -> Option<u64> {
+        self.inflight.front().copied()
     }
 
     /// Joins the workers and returns the remaining in-order records plus

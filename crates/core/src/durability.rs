@@ -38,13 +38,14 @@
 //!   these counts, so records that were journaled after the last commit by a
 //!   previous incarnation can never be double-counted.
 //!
-//! Commit placement differs by mode. With workers ≥ 1 the pooled analysis
-//! block commits `base + merged_seq()` after journaling each ordered drain —
-//! the pool's reorder watermark *is* the durability watermark. At workers 0
-//! the commit rides the scheduler's sweep structure: when the detect block's
-//! `work` runs, every dispatch it emitted in earlier sweeps has already been
-//! analyzed and sunk (blocks run in topological order and drain fully), so
-//! committing the emitted count at `work` entry is always safe. The
+//! Records are journaled by the record merge as they arrive, before the
+//! watermark releases them. Commit placement rides the sweep scheduler:
+//! blocks run in topological order and drain fully, so by the time a block
+//! upstream of the merge runs again, everything it emitted in earlier
+//! sweeps has been analyzed and journaled. At workers 0 the detect block
+//! commits its emitted dispatch count at `work` entry; with workers ≥ 1 the
+//! pooled analysis block commits `base + merged_seq()` at `work` entry —
+//! the pool's reorder watermark *is* the durability watermark. The
 //! multi-threaded block scheduler has no such barrier, so intermediate
 //! commits are disabled there and only the final end-of-run commit applies.
 //!

@@ -7,8 +7,8 @@
 //! [`ArchConfig`]: every call constructs a fresh [`LivePipeline`] (so
 //! per-source analysis shares no mutable state and each source's record
 //! stream stays byte-identical to an offline run over the same trace),
-//! while all instances deposit their completed [`ArchOutput`] into one
-//! shared slot so the serving CLI can still render `--stats-json` after
+//! while all instances deposit their finished streams' [`ArchOutput`] into
+//! one shared slot so the serving CLI can still render `--stats-json` after
 //! the fleet stops.
 //!
 //! With several sources the slot holds the *last finished* source's
@@ -110,8 +110,10 @@ mod tests {
         };
         // Same samples through two independent instances: identical lines
         // (the per-source byte-identity contract in miniature).
-        let ra = a.analyze(&meta, samples.clone());
-        let rb = b.analyze(&meta, samples);
+        let mut ra = a.analyze(&meta, samples.clone());
+        ra.extend(a.analyze(&meta, Vec::new()));
+        let mut rb = b.analyze(&meta, samples);
+        rb.extend(b.analyze(&meta, Vec::new()));
         let la: Vec<&str> = ra.iter().map(|r| r.line.as_str()).collect();
         let lb: Vec<&str> = rb.iter().map(|r| r.line.as_str()).collect();
         assert_eq!(la, lb);

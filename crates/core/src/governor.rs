@@ -33,8 +33,8 @@
 //!
 //! With a `latency_budget_us` configured (`--latency-budget MS`), the
 //! governor also closes the loop from measured tail latency to the ladder:
-//! sinks feed every record's sample→record latency into a private
-//! histogram, and a rate-limited tick computes the windowed p99 (via
+//! the record merge feeds every record's sample→record latency (at
+//! release) into a private histogram, and a rate-limited tick computes the windowed p99 (via
 //! [`rfd_telemetry::HistogramWindow`] — the cumulative histograms cannot
 //! drive a control loop). Budget violations walk a ladder that starts one
 //! rung *below* the CPU ladder: the chunk size is halved toward
@@ -172,12 +172,12 @@ pub struct LoadGovernor {
     shed_detectors: AtomicU64,
     shed_votes: AtomicU64,
     // --- bounded-latency mode (inert without cfg.latency_budget_us) ---
-    /// Private cumulative e2e latency histogram fed by the record sinks.
+    /// Private cumulative e2e latency histogram fed by the record merge.
     /// Registry-independent so a budget works with telemetry disabled.
     e2e: Histogram,
     /// Control-loop state behind one lock: the window baseline, the
     /// rate-limit clock, and the hysteresis streaks. `latency_tick` uses
-    /// `try_lock`, so concurrent sinks never serialize on it.
+    /// `try_lock`, so concurrent callers never serialize on it.
     ctl: Mutex<LatencyCtl>,
     /// Telemetry sink for typed events and the chunk-size gauge, if any.
     registry: Mutex<Option<Arc<Registry>>>,
@@ -279,7 +279,7 @@ impl LoadGovernor {
 
     /// Runs one step of the bounded-latency control loop, if due.
     ///
-    /// Rate-limited to `max(10ms, budget/4)` so every record sink can call
+    /// Rate-limited to `max(10ms, budget/4)` so the record merge can call
     /// it unconditionally; most calls return immediately. Each due tick
     /// advances the p99 window and walks the ladder with hysteresis:
     /// [`VIOLATE_STREAK`] violating windows shrink the chunk (cheapest

@@ -1,10 +1,12 @@
 //! Stage-latency conventions for the live metrics plane.
 //!
-//! Every chunk leaving the source is stamped with an ingest [`Instant`]
-//! (telemetry runs only — the stamp is an `Option` side channel that never
-//! reaches serialized records). Each pipeline stage records *time since
-//! ingest* into its own histogram when work for that stamp completes, so
-//! the per-stage histograms form a monotone waterfall:
+//! Samples are stamped with an ingest [`Instant`] when they are pushed into
+//! the stream, and every chunk cut from them carries that stamp (telemetry
+//! and latency-budget runs only — the stamp is an `Option` side channel
+//! that never reaches serialized records). Each pipeline stage records
+//! *time since ingest* into its own histogram when work for that stamp
+//! completes — the end-to-end one when the record merge releases the
+//! record — so the per-stage histograms form a monotone waterfall:
 //!
 //! `latency.detect_us ≤ latency.dispatch_us ≤ latency.analyze_us ≤
 //! latency.merge_us ≤ latency.journal_us ≤ latency.e2e_us`

@@ -179,6 +179,19 @@ impl PeakDetector {
         self.floor
     }
 
+    /// Lower bound on the start sample of any peak this detector has not
+    /// emitted yet: the open peak's start, or — with none open — the next
+    /// unscanned sample less the start-refinement lookback (a new peak's
+    /// start can walk back at most one averaging window into samples
+    /// already scanned). Peaks are emitted in start order, so every later
+    /// peak starts at or after this sample.
+    pub fn low_watermark(&self) -> u64 {
+        match &self.open {
+            Some(op) => op.start,
+            None => self.cursor.saturating_sub(self.cfg.avg_window as u64),
+        }
+    }
+
     /// Processes one chunk of any length; returns any peaks completed
     /// within it. Chunks must be contiguous, but their size is free: the
     /// detector re-blocks internally to [`DETECT_BLOCK`] samples, so output

@@ -301,12 +301,17 @@ fn watch_for_absent_source_exits_nonzero_cleanly() {
     // must drain the stream, print nothing, and fail with a clean one-line
     // error once the fleet-wide Bye proves the source is absent.
     let factory: rfd_net::PipelineFactory = Box::new(|_source: &str| {
+        let mut n = 0usize;
         Box::new(
-            |_meta: &rfd_net::StreamMeta, samples: Vec<rfd_dsp::Complex32>| {
+            move |_meta: &rfd_net::StreamMeta, samples: Vec<rfd_dsp::Complex32>| {
+                if !samples.is_empty() {
+                    n += samples.len();
+                    return Vec::new();
+                }
                 vec![rfd_net::RecordMsg {
                     start_us: 0.0,
                     end_us: 1.0,
-                    line: format!("session of {} samples", samples.len()),
+                    line: format!("session of {n} samples"),
                 }]
             },
         )

@@ -6,13 +6,14 @@
 //!
 //! * [`Block`] — a processing node with N input and M output ports moving
 //!   boxed payloads (any `Send` type; blocks downcast what they expect).
-//! * [`Flowgraph`] — builds the DAG and runs it to completion over a finite
-//!   stream (the paper's trace-driven methodology), with two schedulers:
+//! * [`Flowgraph`] — builds the DAG and runs it, with two schedulers:
 //!   a **single-threaded** one matching the paper's constraint ("GNU Radio
 //!   does not support multi-threading, so the measurements use a single
-//!   core"), and a **multi-threaded** one (one thread per block, bounded
+//!   core"), which can also be driven incrementally ([`Flowgraph::pump`]
+//!   as a push-fed source receives samples, [`Flowgraph::finish`] at end of
+//!   stream), and a **multi-threaded** one (one thread per block, bounded
 //!   std mpsc channels) exploiting the "inherent parallelism" the paper
-//!   points out but could not use.
+//!   points out but could not use; it runs a finite stream to completion.
 //! * [`RunStats`] — per-block CPU time and item counts, the basis of every
 //!   "CPU time / real time" number in the evaluation.
 //! * [`pool`] — a work-stealing task pool with a deterministic merge, used
@@ -111,6 +112,15 @@ pub trait Block: Send {
 
     /// Flush at end of stream.
     fn finish(&mut self, _outputs: &mut [Vec<Payload>]) {}
+
+    /// True when the block has work to do without new input — results
+    /// completing on other threads, or held output waiting on state
+    /// upstream. The single-threaded scheduler then calls `work` with
+    /// empty inputs once per sweep; such a call that produces nothing does
+    /// not keep the sweep loop going.
+    fn pending(&self) -> bool {
+        false
+    }
 }
 
 /// Handle to a block added to a [`Flowgraph`].
@@ -227,6 +237,13 @@ pub struct Flowgraph {
     nodes: Vec<Node>,
     edges: Vec<Edge>,
     telemetry: Option<Arc<rfd_telemetry::Registry>>,
+    /// Topological order, fixed by the first [`Flowgraph::pump`].
+    order: Vec<usize>,
+    /// Input queues per (node, port), persisting across pumps.
+    inboxes: Vec<Vec<VecDeque<Payload>>>,
+    /// Wall time spent inside `pump` and `finish`.
+    wall: Duration,
+    finished: bool,
 }
 
 impl Default for Flowgraph {
@@ -242,6 +259,10 @@ impl Flowgraph {
             nodes: Vec::new(),
             edges: Vec::new(),
             telemetry: None,
+            order: Vec::new(),
+            inboxes: Vec::new(),
+            wall: Duration::ZERO,
+            finished: false,
         }
     }
 
@@ -271,6 +292,7 @@ impl Flowgraph {
     /// Panics on port indices out of range or if the edge would create a
     /// cycle.
     pub fn connect(&mut self, src: BlockId, src_port: usize, dst: BlockId, dst_port: usize) {
+        assert!(self.order.is_empty(), "connect after the graph started");
         assert!(
             src_port < self.nodes[src.0].block.num_outputs(),
             "src port out of range"
@@ -324,100 +346,96 @@ impl Flowgraph {
     }
 
     /// Runs the graph to completion on the current thread (the paper's
-    /// single-core GNU Radio setting). Returns per-block stats.
+    /// single-core GNU Radio setting): [`pump`](Self::pump) until quiescent,
+    /// then [`finish`](Self::finish). Returns per-block stats.
     pub fn run(&mut self) -> RunStats {
-        let wall_start = Instant::now();
-        let order = self.topo_order().expect("graph must be acyclic");
-        let n = self.nodes.len();
-        // Input queues per (node, port).
-        let mut inboxes: Vec<Vec<VecDeque<Payload>>> = (0..n)
-            .map(|i| {
-                (0..self.nodes[i].block.num_inputs())
-                    .map(|_| VecDeque::new())
-                    .collect()
-            })
-            .collect();
-        let mut outputs_scratch: Vec<Vec<Payload>> = Vec::new();
+        self.pump();
+        self.finish()
+    }
 
-        // Main loop: sweep blocks in topo order until quiescent.
+    /// Sweeps the blocks in topological order until the graph is quiescent:
+    /// no block consumed or produced anything in a full sweep. A source is
+    /// called every sweep until it reports [`WorkStatus::Done`]; one that
+    /// returns [`WorkStatus::Again`] without output is simply idle (a
+    /// push-fed source waiting for samples), so `pump` returns and can be
+    /// called again once more input is available. Other blocks run when
+    /// they have input or report [`Block::pending`].
+    ///
+    /// # Panics
+    /// Panics after [`finish`](Self::finish).
+    pub fn pump(&mut self) {
+        assert!(!self.finished, "pump after finish");
+        let t0 = Instant::now();
+        if self.order.is_empty() {
+            self.order = self.topo_order().expect("graph must be acyclic");
+            self.inboxes = self
+                .nodes
+                .iter()
+                .map(|nd| {
+                    (0..nd.block.num_inputs())
+                        .map(|_| VecDeque::new())
+                        .collect()
+                })
+                .collect();
+        }
         loop {
             let mut progressed = false;
-            for &i in &order {
+            for k in 0..self.order.len() {
+                let i = self.order[k];
                 let is_source = self.nodes[i].block.num_inputs() == 0;
-                let has_input = inboxes[i].iter().any(|q| !q.is_empty());
-                if self.nodes[i].done && is_source {
+                if self.nodes[i].done {
                     continue;
                 }
-                if !is_source && !has_input {
+                let has_input = self.inboxes[i].iter().any(|q| !q.is_empty());
+                if !is_source && !has_input && !self.nodes[i].block.pending() {
                     continue;
                 }
-                let nin: u64 = inboxes[i].iter().map(|q| q.len() as u64).sum();
-                outputs_scratch.clear();
-                outputs_scratch.resize_with(self.nodes[i].block.num_outputs(), Vec::new);
-                let t0 = Instant::now();
-                let status = self.nodes[i]
-                    .block
-                    .work(&mut inboxes[i], &mut outputs_scratch);
-                self.nodes[i].cpu += t0.elapsed();
-                let consumed: u64 = nin - inboxes[i].iter().map(|q| q.len() as u64).sum::<u64>();
-                self.nodes[i].items_in += consumed;
-                let produced: u64 = outputs_scratch.iter().map(|v| v.len() as u64).sum();
-                self.nodes[i].items_out += produced;
+                let (consumed, produced, status) = self.work_node(i);
                 if consumed > 0 || produced > 0 {
                     progressed = true;
                 }
-                if status == WorkStatus::Done {
+                if is_source && status == WorkStatus::Done {
                     self.nodes[i].done = true;
-                } else if is_source {
-                    progressed = true; // source promises more
                 }
-                route(&self.edges, i, &mut outputs_scratch, &mut inboxes);
             }
-            let sources_done =
-                (0..n).all(|i| self.nodes[i].block.num_inputs() != 0 || self.nodes[i].done);
-            let queues_empty = inboxes
-                .iter()
-                .all(|ports| ports.iter().all(|q| q.is_empty()));
-            if sources_done && queues_empty && !progressed {
-                break;
-            }
-            if !progressed && !queues_empty {
-                // Blocks with input made no progress; avoid livelock by
-                // stopping (misbehaving block).
+            if !progressed {
                 break;
             }
         }
+        self.wall += t0.elapsed();
+    }
 
-        // Finish pass in topo order, routing flushed output downstream (and
-        // letting downstream blocks work on it before their own finish).
-        for &i in &order {
-            outputs_scratch.clear();
-            outputs_scratch.resize_with(self.nodes[i].block.num_outputs(), Vec::new);
-            let t0 = Instant::now();
-            self.nodes[i].block.finish(&mut outputs_scratch);
-            self.nodes[i].cpu += t0.elapsed();
-            let produced: u64 = outputs_scratch.iter().map(|v| v.len() as u64).sum();
-            self.nodes[i].items_out += produced;
-            route(&self.edges, i, &mut outputs_scratch, &mut inboxes);
+    /// Ends the stream: the finish pass in topological order, routing each
+    /// block's flushed output downstream and letting downstream blocks work
+    /// on it before their own finish. Returns the run's per-block stats.
+    ///
+    /// # Panics
+    /// Panics if called twice.
+    pub fn finish(&mut self) -> RunStats {
+        assert!(!self.finished, "finish called twice");
+        if self.order.is_empty() {
+            self.pump();
+        }
+        self.finished = true;
+        let t0 = Instant::now();
+        for k in 0..self.order.len() {
+            let i = self.order[k];
+            let mut outs: Vec<Vec<Payload>> = Vec::new();
+            outs.resize_with(self.nodes[i].block.num_outputs(), Vec::new);
+            let t = Instant::now();
+            self.nodes[i].block.finish(&mut outs);
+            self.nodes[i].cpu += t.elapsed();
+            self.nodes[i].items_out += outs.iter().map(|v| v.len() as u64).sum::<u64>();
+            route(&self.edges, i, &mut outs, &mut self.inboxes);
             // Drain everything reachable downstream of this finish.
-            for &j in &order {
-                let has_input = inboxes[j].iter().any(|q| !q.is_empty());
-                if !has_input {
-                    continue;
+            for m in 0..self.order.len() {
+                let j = self.order[m];
+                if self.inboxes[j].iter().any(|q| !q.is_empty()) {
+                    self.work_node(j);
                 }
-                let nin: u64 = inboxes[j].iter().map(|q| q.len() as u64).sum();
-                let mut outs: Vec<Vec<Payload>> = Vec::new();
-                outs.resize_with(self.nodes[j].block.num_outputs(), Vec::new);
-                let t0 = Instant::now();
-                let _ = self.nodes[j].block.work(&mut inboxes[j], &mut outs);
-                self.nodes[j].cpu += t0.elapsed();
-                let consumed: u64 = nin - inboxes[j].iter().map(|q| q.len() as u64).sum::<u64>();
-                self.nodes[j].items_in += consumed;
-                let produced: u64 = outs.iter().map(|v| v.len() as u64).sum();
-                self.nodes[j].items_out += produced;
-                route(&self.edges, j, &mut outs, &mut inboxes);
             }
         }
+        self.wall += t0.elapsed();
 
         let stats = RunStats {
             blocks: self
@@ -430,10 +448,27 @@ impl Flowgraph {
                     items_out: nd.items_out,
                 })
                 .collect(),
-            wall: wall_start.elapsed(),
+            wall: self.wall,
         };
         self.publish(&stats);
         stats
+    }
+
+    /// One `work` call on node `i` with its accounting and routing.
+    /// Returns (payloads consumed, payloads produced, status).
+    fn work_node(&mut self, i: usize) -> (u64, u64, WorkStatus) {
+        let nin: u64 = self.inboxes[i].iter().map(|q| q.len() as u64).sum();
+        let mut outs: Vec<Vec<Payload>> = Vec::new();
+        outs.resize_with(self.nodes[i].block.num_outputs(), Vec::new);
+        let t0 = Instant::now();
+        let status = self.nodes[i].block.work(&mut self.inboxes[i], &mut outs);
+        self.nodes[i].cpu += t0.elapsed();
+        let consumed = nin - self.inboxes[i].iter().map(|q| q.len() as u64).sum::<u64>();
+        let produced: u64 = outs.iter().map(|v| v.len() as u64).sum();
+        self.nodes[i].items_in += consumed;
+        self.nodes[i].items_out += produced;
+        route(&self.edges, i, &mut outs, &mut self.inboxes);
+        (consumed, produced, status)
     }
 
     /// Runs the graph with one OS thread per block and bounded std mpsc
@@ -857,6 +892,45 @@ mod tests {
         fg.connect(h, 0, sk, 0);
         fg.run_threaded();
         assert_eq!(*out.lock(), vec![5050]);
+    }
+
+    #[test]
+    fn pump_processes_pushed_input_incrementally() {
+        // A push-fed source: idle (Again, no output) until fed.
+        struct Pushed(Arc<sync::Mutex<VecDeque<i64>>>);
+        impl Block for Pushed {
+            fn name(&self) -> &str {
+                "pushed"
+            }
+            fn num_inputs(&self) -> usize {
+                0
+            }
+            fn work(&mut self, _i: &mut [VecDeque<Payload>], o: &mut [Vec<Payload>]) -> WorkStatus {
+                for x in self.0.lock().drain(..) {
+                    o[0].push(Box::new(x));
+                }
+                WorkStatus::Again
+            }
+        }
+        let feed = Arc::new(sync::Mutex::new(VecDeque::new()));
+        let mut fg = Flowgraph::new();
+        let src = fg.add(Box::new(Pushed(feed.clone())));
+        let dbl = fg.add(Box::new(FnBlock::new("double", |x: i64| Some(x * 2))));
+        let sink = Box::new(VecSink::<i64>::new("sink"));
+        let out = sink.storage();
+        let sk = fg.add(sink);
+        fg.connect(src, 0, dbl, 0);
+        fg.connect(dbl, 0, sk, 0);
+        fg.pump();
+        assert!(out.lock().is_empty());
+        feed.lock().extend([1, 2, 3]);
+        fg.pump();
+        assert_eq!(*out.lock(), vec![2, 4, 6], "pump drains what was pushed");
+        feed.lock().extend([4]);
+        fg.pump();
+        let stats = fg.finish();
+        assert_eq!(*out.lock(), vec![2, 4, 6, 8]);
+        assert_eq!(stats.blocks[2].items_in, 4);
     }
 
     #[test]

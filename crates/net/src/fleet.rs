@@ -85,10 +85,11 @@
 //!
 //! # Overload admission control (bounded-latency mode)
 //!
-//! With [`FleetConfig::latency_budget`] set, every source also carries a
-//! *deadline* histogram: per-chunk queue wait (committed → popped by the
-//! analysis thread) plus per-record finalize → publish lag. A periodic
-//! sweep in the readiness loop diffs each histogram through a
+//! Every source carries a *deadline* histogram of its true sample→record
+//! latency: each record's publish time minus the commit time of the chunk
+//! holding its last sample, so queue wait, analysis and the pipeline's
+//! release hold all count. With [`FleetConfig::latency_budget`] set, a
+//! periodic sweep in the readiness loop diffs each histogram through a
 //! [`HistogramWindow`] and compares the windowed p99 against the budget,
 //! walking a per-source shed ladder with the same streak hysteresis the
 //! in-process governor uses:
@@ -120,17 +121,18 @@
 //! popped chunk — the overload knob for bounded-latency chaos tests), in
 //! addition to the `net.server.read` site every producer read consults.
 //!
-//! Determinism: each source's samples are accumulated contiguously and
-//! analyzed by a private pipeline exactly like an offline run of that trace
-//! alone, and its records are published in one burst (meta, records in
-//! offline order, source-bye or stats) under the hub lock per message with
-//! no interleaving *within* a source. A filtered subscriber (or, for an
+//! Determinism: each source's contiguous samples stream through a private
+//! pipeline chunk by chunk, and the records each call releases are
+//! published right away — while the sender is still streaming — in the
+//! order an offline run of that trace alone prints them (see the
+//! [`Pipeline`] contract), with no interleaving *within* a source: meta,
+//! records, then source-bye or stats. A filtered subscriber (or, for an
 //! implicit source, the untagged stream) therefore sees a byte-identical
 //! record stream to `rfdump -r trace` at any worker count.
 //! Merge order *between* sources is arrival order and intentionally
 //! unspecified.
 
-use crate::frame::{Frame, FrameDecoder, Role, SeqFrame, StreamMeta};
+use crate::frame::{Frame, FrameDecoder, RecordMsg, Role, SeqFrame, StreamMeta};
 use crate::hub::{HubMsg, RecordHub, Subscription};
 use crate::queue::{ChunkQueue, OverflowPolicy, TryPushError};
 use crate::server::{serve_subscriber, NetStats, NetStatsSnapshot, Pipeline, SubscriberCtx};
@@ -138,7 +140,7 @@ use rfd_dsp::complex::from_i16_iq;
 use rfd_dsp::Complex32;
 use rfd_fault::{Action, FaultPlan};
 use rfd_telemetry::{Counter, Gauge, Histogram, HistogramWindow, Registry};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
@@ -218,8 +220,9 @@ pub struct FleetConfig {
     /// `net.fleet.accept`, `net.fleet.source.<id>` sites).
     pub faults: Option<Arc<FaultPlan>>,
     /// Bounded-latency mode: per-source deadline budget. When set, the
-    /// deadline sweep sheds sources whose windowed p99 (queue wait +
-    /// finalize → publish lag) exceeds this budget and refuses admission
+    /// deadline sweep sheds sources whose windowed p99 sample→record
+    /// latency (a record's publish time minus the commit time of the chunk
+    /// holding its last sample) exceeds this budget, and refuses admission
     /// to new sources while the fleet is over budget. `None` (the
     /// default) disables overload control entirely.
     pub latency_budget: Option<Duration>,
@@ -300,7 +303,7 @@ struct SourceShared {
     implicit: bool,
     meta: StreamMeta,
     /// Ingest queue. Items carry their commit instant so the analysis
-    /// thread can record queue wait into the deadline histogram.
+    /// thread can measure each record's latency from it.
     queue: ChunkQueue<(Instant, Vec<Complex32>)>,
     /// Join ordinal, echoed as the Ack session id so a resuming sender can
     /// tell its session survived.
@@ -336,10 +339,11 @@ struct SourceShared {
     chaos_site: String,
     /// Per-record publish duration, µs — the source's fan-out latency.
     fanout: Histogram,
-    /// Deadline samples, µs: per-chunk queue wait plus per-record
-    /// finalize → publish lag. The overload sweep reads this through
-    /// `deadline_win`; recorded unconditionally (it is two `Instant`
-    /// reads per chunk) so snapshots are populated even without a budget.
+    /// Deadline samples, µs: per-record sample→record latency (publish
+    /// minus the commit of the chunk holding the record's last sample).
+    /// The overload sweep reads this through `deadline_win`; recorded
+    /// unconditionally (one `Instant` read per record) so snapshots are
+    /// populated even without a budget.
     deadline: Histogram,
     /// The sweep's windowed view over `deadline` (sweep thread only).
     deadline_win: Mutex<HistogramWindow>,
@@ -399,7 +403,7 @@ pub struct SourceSnapshot {
     pub fanout_p50_us: f64,
     /// Fan-out latency p99, µs.
     pub fanout_p99_us: f64,
-    /// Deadline samples recorded (queue waits + publish lags).
+    /// Deadline samples recorded (one per published record).
     pub deadline_count: u64,
     /// Last windowed deadline p99 the overload sweep saw, µs (0 before
     /// the first sweep or without a budget).
@@ -1014,8 +1018,8 @@ impl FleetServer {
             let _ = t.join();
         }
         // One forced sweep after every analysis thread published, so
-        // violations recorded in the final burst (e.g. a chaos-slowed
-        // pipeline's publish lag) still reach the counters and event log.
+        // violations recorded in the final flush (e.g. a chaos-slowed
+        // pipeline's last records) still reach the counters and event log.
         latency_sweep(inner, true);
         inner.note_evictions();
         if !bye_published {
@@ -2002,45 +2006,63 @@ fn commit_chunk(
     true
 }
 
-/// One source's analysis thread: accumulate the contiguous sample stream,
-/// run the source's private pipeline when the stream ends, publish its
-/// records (offline order) and the end of its stream.
-fn analysis_thread(inner: Arc<FleetInner>, src: Arc<SourceShared>) {
-    let analysis_site = format!("net.fleet.analysis.{}", src.name);
-    let mut samples: Vec<Complex32> = Vec::new();
-    while let Some((committed, chunk)) = src.queue.pop() {
-        // Chaos: a slow/cpu fault here starves this source's consumer so
-        // its queue wait — and only its — blows the deadline budget.
-        if let Some(plan) = &inner.cfg.faults {
-            match plan.decide(&analysis_site) {
-                Some(Action::Slow(d)) => std::thread::sleep(d),
-                Some(Action::Spin(d)) => rfd_fault::spin_for(d),
-                _ => {}
-            }
+/// Chunk commit times an analysis thread remembers for the deadline
+/// metric. A record whose last sample is older than the whole ring (a long
+/// stretch without records) is charged from the oldest remembered commit,
+/// which understates its latency.
+const COMMIT_RING: usize = 1 << 14;
+
+/// One source's chunk commit times, by position in the stream its pipeline
+/// sees, so a record's sample→record latency can be measured from the
+/// commit of the chunk holding its last sample.
+#[derive(Default)]
+struct CommitRing {
+    /// `(end position, commit instant)` per chunk, in stream order.
+    chunks: VecDeque<(u64, Instant)>,
+    /// Samples handed to the pipeline so far.
+    pos: u64,
+}
+
+impl CommitRing {
+    fn push(&mut self, len: usize, committed: Instant) {
+        self.pos += len as u64;
+        if self.chunks.len() == COMMIT_RING {
+            self.chunks.pop_front();
         }
-        // Queue wait is the first half of the deadline metric: how long a
-        // committed chunk sat before this thread consumed it.
-        src.deadline.record(committed.elapsed().as_secs_f64() * 1e6);
-        samples.extend_from_slice(&chunk);
-        if let Some(g) = &src.queue_gauge {
-            g.set(src.queue.len() as i64);
+        self.chunks.push_back((self.pos, committed));
+    }
+
+    /// Commit instant of the chunk holding the sample at `us` µs.
+    fn commit_of(&self, us: f64, sample_rate: f64) -> Option<Instant> {
+        let sample = ((us * 1e-6 * sample_rate).round() as u64).saturating_sub(1);
+        let k = self.chunks.partition_point(|&(end, _)| end <= sample);
+        self.chunks
+            .get(k.min(self.chunks.len().saturating_sub(1)))
+            .map(|&(_, t)| t)
+    }
+
+    /// Forgets chunks that end at or before `us` µs: records arrive in
+    /// start order, so no later record ends in them.
+    fn prune_before(&mut self, us: f64, sample_rate: f64) {
+        let sample = (us * 1e-6 * sample_rate).max(0.0) as u64;
+        while self.chunks.len() > 1 && self.chunks.front().is_some_and(|&(end, _)| end <= sample) {
+            self.chunks.pop_front();
         }
     }
-    // A source cut off before any sample arrived (e.g. quarantined on its
-    // first frames) publishes no records — don't spin up a pipeline (or
-    // its journal directory) for an empty stream.
-    let finalized_at = Instant::now();
-    let records = if samples.is_empty() {
-        Vec::new()
-    } else {
-        let mut pipeline = (inner.factory)(&src.name);
-        pipeline.analyze(&src.meta, samples)
-    };
+}
+
+/// Publishes a batch of one source's records, booking each one's
+/// sample→record latency (publish time minus the commit of the chunk
+/// holding its last sample) into the source's deadline histogram.
+fn publish_records(
+    inner: &FleetInner,
+    src: &SourceShared,
+    ring: &mut CommitRing,
+    records: Vec<RecordMsg>,
+) {
+    let fs = src.meta.sample_rate;
     for rec in records {
-        // Finalize → publish lag is the second half of the deadline
-        // metric: a chaos-slowed pipeline shows up here.
-        src.deadline
-            .record(finalized_at.elapsed().as_secs_f64() * 1e6);
+        let (start_us, end_us) = (rec.start_us, rec.end_us);
         inner.stats.records_published.add(1);
         src.records.fetch_add(1, Ordering::Relaxed);
         if let Some(ctr) = &src.records_ctr {
@@ -2055,11 +2077,56 @@ fn analysis_thread(inner: Arc<FleetInner>, src: Arc<SourceShared>) {
                 record: rec,
             }
         });
-        let us = t0.elapsed().as_secs_f64() * 1e6;
+        let published = Instant::now();
+        let us = (published - t0).as_secs_f64() * 1e6;
         src.fanout.record(us);
         if let Some(h) = &inner.fanout_hist {
             h.record(us);
         }
+        if let Some(committed) = ring.commit_of(end_us, fs) {
+            src.deadline
+                .record(published.saturating_duration_since(committed).as_secs_f64() * 1e6);
+        }
+        ring.prune_before(start_us, fs);
+    }
+}
+
+/// One source's analysis thread: builds the source's private pipeline on
+/// the first chunk, feeds it every chunk as it is popped, publishes the
+/// records each call releases (offline order) right away, and at the end
+/// of the stream flushes the pipeline and publishes the end of its stream.
+fn analysis_thread(inner: Arc<FleetInner>, src: Arc<SourceShared>) {
+    let analysis_site = format!("net.fleet.analysis.{}", src.name);
+    // A source cut off before any sample arrived (e.g. quarantined on its
+    // first frames) publishes no records — no pipeline (or journal
+    // directory) is built for an empty stream.
+    let mut pipeline: Option<Box<dyn Pipeline>> = None;
+    let mut ring = CommitRing::default();
+    while let Some((committed, chunk)) = src.queue.pop() {
+        // Chaos: a slow/cpu fault here starves this source's consumer so
+        // its records — and only its — blow the deadline budget.
+        if let Some(plan) = &inner.cfg.faults {
+            match plan.decide(&analysis_site) {
+                Some(Action::Slow(d)) => std::thread::sleep(d),
+                Some(Action::Spin(d)) => rfd_fault::spin_for(d),
+                _ => {}
+            }
+        }
+        if let Some(g) = &src.queue_gauge {
+            g.set(src.queue.len() as i64);
+        }
+        if chunk.is_empty() {
+            // An empty call would end the pipeline's stream.
+            continue;
+        }
+        ring.push(chunk.len(), committed);
+        let p = pipeline.get_or_insert_with(|| (inner.factory)(&src.name));
+        let records = p.analyze(&src.meta, chunk);
+        publish_records(&inner, &src, &mut ring, records);
+    }
+    if let Some(mut p) = pipeline {
+        let records = p.analyze(&src.meta, Vec::new());
+        publish_records(&inner, &src, &mut ring, records);
     }
     inner
         .stats
@@ -2100,11 +2167,28 @@ fn analysis_thread(inner: Arc<FleetInner>, src: Arc<SourceShared>) {
 mod tests {
     use super::*;
     use crate::client::{RecordSubscriber, SendRate, SubEvent, TraceSender};
-    use crate::frame::{encode_frame, RecordMsg};
+    use crate::frame::encode_frame;
+
+    /// Adapts a whole-session stub to the streaming [`Pipeline`] contract:
+    /// samples accumulate until the end-of-stream call, which runs `f`
+    /// over all of them.
+    fn whole_session(
+        mut f: impl FnMut(&StreamMeta, Vec<Complex32>) -> Vec<RecordMsg> + Send + 'static,
+    ) -> Box<dyn Pipeline> {
+        let mut all = Vec::new();
+        Box::new(move |meta: &StreamMeta, samples: Vec<Complex32>| {
+            if samples.is_empty() {
+                f(meta, std::mem::take(&mut all))
+            } else {
+                all.extend(samples);
+                Vec::new()
+            }
+        })
+    }
 
     fn stub_factory() -> PipelineFactory {
         Box::new(|_source: &str| {
-            Box::new(
+            whole_session(
                 |meta: &StreamMeta, samples: Vec<Complex32>| -> Vec<RecordMsg> {
                     vec![RecordMsg {
                         start_us: 0.0,
@@ -2581,7 +2665,7 @@ mod tests {
         let reg = Arc::new(Registry::new());
         let factory: PipelineFactory = Box::new(|source: &str| {
             let slow = source == "laggy";
-            Box::new(
+            whole_session(
                 move |meta: &StreamMeta, samples: Vec<Complex32>| -> Vec<RecordMsg> {
                     if slow {
                         std::thread::sleep(Duration::from_millis(25));
@@ -2945,7 +3029,7 @@ mod tests {
 
     #[test]
     fn plain_and_tagged_senders_share_one_server() {
-        let factory: PipelineFactory = Box::new(|_source: &str| Box::new(block_records));
+        let factory: PipelineFactory = Box::new(|_source: &str| whole_session(block_records));
         let server = FleetServer::bind(
             "127.0.0.1:0",
             FleetConfig {

@@ -60,7 +60,6 @@
 //! * **SourceBye** — `id_len: u8`, the source id bytes: one source's stream
 //!   ended (fleet server → subscriber); other sources keep flowing.
 
-use rfd_dsp::coding::Crc;
 use std::fmt;
 
 /// Magic bytes opening every frame.
@@ -99,10 +98,36 @@ pub fn validate_source_id(id: &str) -> Result<(), FrameError> {
     Ok(())
 }
 
-/// CRC-32/IEEE over `data`, as stored in the frame header.
+/// CRC-32/IEEE over `data`, as stored in the frame header. Byte-at-a-time
+/// through a lookup table: every sample chunk is checksummed once by the
+/// sender and once by the server, and the bit-serial reference
+/// ([`rfd_dsp::coding::Crc`]) cost more than the rest of ingest.
 pub fn payload_crc(data: &[u8]) -> u32 {
-    Crc::crc32_ieee().compute(data) as u32
+    !data.iter().fold(!0u32, |crc, &b| {
+        CRC32_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8)
+    })
 }
+
+/// CRC-32/IEEE lookup table: the reflected polynomial applied to each byte.
+const CRC32_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 == 1 {
+                (c >> 1) ^ 0xEDB8_8320
+            } else {
+                c >> 1
+            };
+            k += 1;
+        }
+        table[i] = c;
+        i += 1;
+    }
+    table
+};
 
 /// Who a connection speaks for, declared in its Hello frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -824,6 +849,22 @@ mod tests {
             }
         }
         assert_eq!(got, frames);
+    }
+
+    #[test]
+    fn table_crc_matches_the_bit_serial_reference() {
+        let reference = rfd_dsp::coding::Crc::crc32_ieee();
+        let data: Vec<u8> = (0..4099u32)
+            .map(|i| (i.wrapping_mul(2654435761) >> 13) as u8)
+            .collect();
+        for len in [0, 1, 7, 64, 4099] {
+            assert_eq!(
+                payload_crc(&data[..len]),
+                reference.compute(&data[..len]) as u32,
+                "len {len}"
+            );
+        }
+        assert_eq!(payload_crc(b"123456789"), 0xCBF4_3926, "CRC-32 check value");
     }
 
     #[test]

@@ -6,13 +6,14 @@
 //! The server itself — the producer handshakes, per-source sharding,
 //! resume and overload control — is [`FleetServer`](crate::FleetServer).
 //!
-//! Determinism note: a session's records are published after its sample
-//! stream ends, in exactly the order the offline pipeline emits them
-//! (concatenated per-port, stable-sorted by start time). This is forced by
-//! the byte-identity contract with offline `rfdump`: the offline record
-//! stream is globally time-sorted, and a globally sorted order cannot be
-//! emitted before the last sample is seen. A future watermarking scheme
-//! could bound the latency; the wire protocol needs no change for it.
+//! Determinism note: a stream's records are published as its pipeline
+//! releases them, while samples are still arriving, and in exactly the
+//! order the offline pipeline prints them (globally sorted by start time).
+//! The two are reconciled inside the pipeline, not on the wire: it holds
+//! each record until no record still to come can start earlier (a low
+//! watermark over the analysis stages), so every batch it returns extends
+//! the sorted stream and the concatenation of batches is byte-identical
+//! to offline `rfdump` on the same trace.
 
 use crate::frame::{encode_frame, Frame, FrameDecoder, RecordMsg, SeqFrame, StreamMeta};
 use crate::hub::{HubMsg, RecordHub};
@@ -24,15 +25,24 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The analysis stage the server drives: a complete sample stream in,
-/// rendered record lines out.
+/// The analysis stage the server drives: one source's sample stream in,
+/// rendered record lines out, incrementally.
+///
+/// The contract of [`analyze`](Pipeline::analyze):
+///
+/// * each call passes the next contiguous samples of the stream;
+/// * it returns the records that became final with those samples, in final
+///   (time-sorted) order, so the returned batches concatenate to the
+///   stream's whole record sequence;
+/// * a call with an empty `Vec` ends the stream: the pipeline flushes and
+///   returns every record still held.
 ///
 /// The server deliberately does not depend on `rfdump` (the core crate
 /// implements this trait and hands it in), so the wire layer stays reusable
 /// and cheap to test with stub pipelines.
 pub trait Pipeline: Send {
-    /// Processes one session's samples into record messages, in final
-    /// (time-sorted) emission order.
+    /// Consumes the next samples (or, when empty, ends the stream) and
+    /// returns the records that became final, in emission order.
     fn analyze(&mut self, meta: &StreamMeta, samples: Vec<Complex32>) -> Vec<RecordMsg>;
 }
 

@@ -146,15 +146,12 @@ impl BtChannelRx {
 
     /// Processes a block of input samples.
     pub fn process(&mut self, samples: &[Complex32]) {
-        // Translate + channelize + decimate.
+        // Translate + channelize + decimate (outputs the decimator drops
+        // are never computed).
+        let mixed: Vec<Complex32> = samples.iter().map(|&x| x * self.nco.next()).collect();
         let mut chan = Vec::with_capacity(samples.len() / self.decim + 1);
-        for &x in samples {
-            let y = self.fir.push(x * self.nco.next());
-            if self.fir_phase == 0 {
-                chan.push(y);
-            }
-            self.fir_phase = (self.fir_phase + 1) % self.decim;
-        }
+        self.fir
+            .process_decimate(&mixed, self.decim, &mut self.fir_phase, &mut chan);
         // FM discriminate.
         self.disc.process(&chan, &mut self.freq);
 

@@ -304,3 +304,97 @@ fn real_time_pacing_still_matches_offline() {
     let live = loopback_lines(&path, 0, SendRate::RealTime);
     assert_eq!(live, offline);
 }
+
+/// "Live" must be literal: records reach a subscriber while the sender is
+/// still streaming. The sender sends the first half of a trace and holds
+/// the second half until the subscriber has seen a record (failing after
+/// 10 s), so a server that analyzed only after the stream ends could never
+/// pass. The full stream must still be byte-identical to the offline run.
+#[test]
+fn records_arrive_while_the_sender_is_still_streaming() {
+    use rfd_net::StreamMeta;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    let dir = std::env::temp_dir().join("rfd-net-loopback");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("live-half.rfdt");
+    let trace = mixed_trace(6, 12, 28.0, 4343);
+    rfd_ether::trace::write_trace(
+        &path,
+        trace.band.sample_rate,
+        trace.band.center_hz,
+        &trace.samples,
+    )
+    .unwrap();
+    let offline = offline_lines(&path, 0);
+    assert!(!offline.is_empty());
+
+    let mut cfg = ArchConfig::rfdump(vec![piconet()]);
+    cfg.telemetry = false;
+    cfg.workers = 0;
+    let server = FleetServer::bind(
+        "127.0.0.1:0",
+        FleetConfig {
+            expect: Some(1),
+            // A sender that gives up must end the run, not park for resume.
+            resume_grace: Duration::ZERO,
+            ..Default::default()
+        },
+        pipeline_factory(cfg, None, Arc::new(Mutex::new(None))),
+        None,
+    )
+    .unwrap();
+    let addr = server.local_addr().unwrap();
+    let run = std::thread::spawn(move || server.run().unwrap());
+    let mut sub = RecordSubscriber::connect(addr).unwrap();
+
+    let (seen_tx, seen_rx) = mpsc::channel::<()>();
+    let sender = std::thread::spawn(move || {
+        let mut reader = rfd_ether::trace::ChunkedTraceReader::open(&path).unwrap();
+        let h = *reader.header();
+        let meta = StreamMeta {
+            sample_rate: h.sample_rate,
+            center_hz: h.center_hz,
+            scale: h.scale,
+        };
+        let mut chunks = Vec::new();
+        while let Some(iq) = reader.next_chunk(1000).unwrap() {
+            chunks.push(iq);
+        }
+        let half = chunks.len() / 2;
+        let gated = chunks.into_iter().enumerate().map(move |(i, iq)| {
+            if i == half {
+                seen_rx
+                    .recv_timeout(Duration::from_secs(10))
+                    .expect("no record reached the subscriber while half the trace was unsent");
+            }
+            iq
+        });
+        let mut tx = TraceSender::connect_source(addr, "half").unwrap();
+        tx.send_quantized(meta, gated, SendRate::Max).unwrap();
+        tx.finish().unwrap();
+    });
+
+    let mut lines = Vec::new();
+    loop {
+        match sub.next_event().unwrap() {
+            SubEvent::SourceRecord { record, .. } => {
+                if lines.is_empty() {
+                    let _ = seen_tx.send(());
+                }
+                lines.push(record.line);
+            }
+            SubEvent::Bye => break,
+            _ => {}
+        }
+    }
+    sender
+        .join()
+        .expect("sender must see a record before its second half");
+    run.join().unwrap();
+    assert_eq!(
+        lines, offline,
+        "live stream must be byte-identical to offline"
+    );
+}

@@ -286,16 +286,24 @@ fn fuzzed_source_id_payloads_never_panic() {
     });
 }
 
-/// A factory of trivial pipelines for server-level robustness tests.
+/// A factory of trivial pipelines for server-level robustness tests: one
+/// record per stream, released when the stream ends.
 fn stub_factory() -> rfd_net::PipelineFactory {
     Box::new(|_source: &str| {
-        Box::new(|_meta: &StreamMeta, samples: Vec<rfd_dsp::Complex32>| {
-            vec![RecordMsg {
-                start_us: 0.0,
-                end_us: 1.0,
-                line: format!("session of {} samples", samples.len()),
-            }]
-        })
+        let mut n = 0usize;
+        Box::new(
+            move |_meta: &StreamMeta, samples: Vec<rfd_dsp::Complex32>| {
+                if !samples.is_empty() {
+                    n += samples.len();
+                    return Vec::new();
+                }
+                vec![RecordMsg {
+                    start_us: 0.0,
+                    end_us: 1.0,
+                    line: format!("session of {n} samples"),
+                }]
+            },
+        )
     })
 }
 
