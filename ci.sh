@@ -35,8 +35,7 @@
 #      where a garbage-flooding sender is quarantined by the health machine
 #      while the clean sources drain unharmed.
 #   8. bounded-latency smokes: an offline run under a generous
-#      --latency-budget (with the --chunk-min/--chunk-max bounds plumbed)
-#      must print a record stream byte-identical to the no-budget run at
+#      --latency-budget (armed governor, fixed chunk size) must print a record stream byte-identical to the no-budget run at
 #      --workers 0 and 4 with zero violations booked, and a server
 #      under an injected per-source cpu fault must book budget violations
 #      and shed only the starved source — budget_violated/source_shed
@@ -438,12 +437,11 @@ grep -q '"health":"quarantined"' "$work/quarantine-stats.json" \
 echo "== latency smoke: a generous --latency-budget is record-invisible =="
 # Bounded-latency mode with a budget the pipeline never violates must be
 # free in record terms: the stream stays byte-identical to the no-budget
-# run, sequential and pooled, with the adaptive-chunk bounds plumbed
-# through. The stats document carries the armed-but-idle latency_mode
-# section (zero violations) and the inspector must render it.
+# run, sequential and pooled — the governor is armed but never sheds. The
+# stats document carries the armed-but-idle latency_mode section (zero
+# violations) and the inspector must render it.
 for w in 0 4; do
     ./target/release/rfdump -r "$trace" --workers "$w" --latency-budget 60000 \
-        --chunk-min 64 --chunk-max 4096 \
         --stats-json "$work/latency-stats-w$w.json" \
         > "$work/records-lat-w$w.txt"
     if ! diff -u "$work/records-w0.txt" "$work/records-lat-w$w.txt"; then

@@ -1,16 +1,16 @@
 //! Bounded-latency mode: the budget ↔ latency/throughput trade-off curve.
 //!
 //! `--latency-budget MS` closes a control loop from measured sample→record
-//! tail latency to the governor's degradation ladder (adaptive chunking
-//! first, record-visible shedding only past the chunk floor). This bench
+//! tail latency to the governor's shed ladder (demodulation first, weak
+//! detectors second; chunk size stays fixed). This bench
 //! sweeps the budget from "never binding" down to "aggressively binding"
 //! over one Wi-Fi + Bluetooth traffic mix and reports, per point:
 //!
 //! * **e2e latency** — p50/p99 µs out of the run's `latency.e2e_us`
 //!   histogram (the same signal the governor's window watches);
 //! * **throughput** — Msps over the run's wall time;
-//! * **governor activity** — budget violations, final/base chunk size,
-//!   chunk shrinks, and the final shed level;
+//! * **governor activity** — budget violations, shed-level escalations,
+//!   and the final shed level;
 //! * **identical** — whether the record stream matched the no-budget
 //!   baseline byte for byte (asserted for the generous point; reported,
 //!   not asserted, for binding ones — shedding may legitimately change
@@ -75,7 +75,7 @@ fn main() {
         format!("{base_p99:.0}"),
         format!("{base_msps:.2}"),
         "-".into(),
-        format!("{}", cfg.chunk_samples),
+        "-".into(),
         "nominal".into(),
         "yes".into(),
     ]];
@@ -84,9 +84,9 @@ fn main() {
         let budgeted = ArchConfig {
             governor: Some(GovernorConfig {
                 latency_budget_us: Some(budget_ms * 1_000.0),
-                // No CPU-ratio ladder (the default), so every violation,
-                // resize, and shed on the curve is attributable to the
-                // latency signal alone.
+                // No CPU-ratio ladder (the default), so every violation
+                // and shed on the curve is attributable to the latency
+                // signal alone.
                 ..Default::default()
             }),
             ..cfg.clone()
@@ -112,7 +112,7 @@ fn main() {
             format!("{p99:.0}"),
             format!("{msps:.2}"),
             format!("{}", lat.violations),
-            format!("{}/{}", lat.chunk_size, lat.chunk_base),
+            format!("{}", gov.escalations),
             rfdump::governor::LEVEL_NAMES[usize::from(gov.level)].to_string(),
             if identical {
                 "yes".into()
@@ -127,9 +127,7 @@ fn main() {
             ("e2e_p50_us", JsonValue::num(p50)),
             ("e2e_p99_us", JsonValue::num(p99)),
             ("violations", JsonValue::num(lat.violations as f64)),
-            ("chunk_final", JsonValue::num(lat.chunk_size as f64)),
-            ("chunk_base", JsonValue::num(lat.chunk_base as f64)),
-            ("chunk_shrinks", JsonValue::num(lat.chunk_shrinks as f64)),
+            ("escalations", JsonValue::num(gov.escalations as f64)),
             ("shed_level", JsonValue::num(f64::from(gov.level))),
             ("records", JsonValue::num(out.records.len() as f64)),
             ("identical_records", JsonValue::Bool(identical)),
@@ -144,7 +142,7 @@ fn main() {
             "p99 (us)",
             "Msps",
             "violations",
-            "chunk",
+            "sheds",
             "level",
             "identical",
         ],
@@ -153,9 +151,9 @@ fn main() {
     println!(
         "\nexpected: the generous budget is free — zero violations, records\n\
          byte-identical to the no-budget baseline. As the budget tightens\n\
-         past the pipeline's natural p99, violations appear and the ladder\n\
-         engages: chunks shrink first (still byte-identical), then the\n\
-         record-visible shed levels trade completeness for latency."
+         past the pipeline's natural p99, violations appear and binding\n\
+         budgets shed: demodulation first, then weak detectors, trading\n\
+         record completeness for latency."
     );
 
     let mut doc = BenchReport::new("latency");

@@ -113,12 +113,11 @@ pub struct ArchConfig {
     /// `Some` lets the [`LoadGovernor`] shed demodulation first and weak
     /// detectors second when the pipeline falls behind real time.
     pub governor: Option<GovernorConfig>,
-    /// Ingest chunk size, samples (default [`crate::CHUNK_SAMPLES`]). A
-    /// pure latency/throughput knob: the peak detector re-blocks
+    /// Ingest chunk size, samples (default [`crate::CHUNK_SAMPLES`], the
+    /// paper's 25 µs). The one place chunk size is decided; it holds for
+    /// the whole run. A pure CPU/latency knob: the peak detector re-blocks
     /// internally at a fixed [`crate::peak::DETECT_BLOCK`], so the record
-    /// stream is byte-identical at any chunk size. With a latency budget
-    /// the governor additionally steps the live size down/up between
-    /// `GovernorConfig::chunk_min` and this configured value.
+    /// stream is byte-identical at any chunk size.
     pub chunk_samples: usize,
     /// Crash-safe durability (RFDump only): journal emitted records and
     /// commit watermarks under a directory, and optionally resume from them.
@@ -462,18 +461,15 @@ impl Feed {
 }
 
 /// The push-fed source every architecture starts from: cuts the samples
-/// pushed into its [`Feed`] into chunks of the configured size — or, in
-/// bounded-latency mode, the governor's live size, read at each `work`
-/// call. Chunk size never affects the record output: the peak detector
+/// pushed into its [`Feed`] into chunks of [`ArchConfig::chunk_samples`].
+/// Chunk size never affects the record output: the peak detector
 /// re-blocks internally (see [`crate::peak::DETECT_BLOCK`]).
 struct PushSource {
     feed: Arc<Mutex<Feed>>,
     fs: f64,
     seq: u64,
-    /// Configured chunk size (the fixed size without a governor).
-    base: usize,
-    /// Live chunk-size authority in bounded-latency mode.
-    ctl: Option<Arc<LoadGovernor>>,
+    /// Chunk size, samples.
+    size: usize,
 }
 
 impl Block for PushSource {
@@ -485,16 +481,11 @@ impl Block for PushSource {
     }
     fn work(&mut self, _i: &mut [VecDeque<Payload>], outputs: &mut [Vec<Payload>]) -> WorkStatus {
         let mut feed = self.feed.lock();
-        let sz = self
-            .ctl
-            .as_ref()
-            .map_or(self.base, |g| g.chunk_size())
-            .max(1);
-        if !feed.closed && feed.available() < PUMP_BATCH.saturating_mul(sz) {
+        if !feed.closed && feed.available() < PUMP_BATCH.saturating_mul(self.size) {
             return WorkStatus::Again;
         }
         for _ in 0..PUMP_BATCH {
-            let n = sz.min(feed.available());
+            let n = self.size.min(feed.available());
             if n == 0 {
                 break;
             }
@@ -517,19 +508,12 @@ impl Block for PushSource {
 }
 
 /// Adds the push-fed source to a graph under construction.
-fn add_source(
-    fg: &mut Flowgraph,
-    cfg: &ArchConfig,
-    fs: f64,
-    feed: &Arc<Mutex<Feed>>,
-    ctl: Option<Arc<LoadGovernor>>,
-) -> BlockId {
+fn add_source(fg: &mut Flowgraph, cfg: &ArchConfig, fs: f64, feed: &Arc<Mutex<Feed>>) -> BlockId {
     fg.add(Box::new(PushSource {
         feed: feed.clone(),
         fs,
         seq: 0,
-        base: cfg.chunk_samples.max(1),
-        ctl,
+        size: cfg.chunk_samples.max(1),
     }))
 }
 
@@ -982,7 +966,7 @@ fn build_naive(
                 <= fs / 2.0
         })
         .collect();
-    let src = add_source(fg, cfg, fs, feed, None);
+    let src = add_source(fg, cfg, fs, feed);
     let tee = fg.add(Box::new(ChunkTee {
         n: 1 + bt_channels.len(),
     }));
@@ -1090,7 +1074,7 @@ fn build_naive_energy(
     feed: &Arc<Mutex<Feed>>,
     outbox: &Arc<Mutex<Vec<PacketRecord>>>,
 ) {
-    let src = add_source(fg, cfg, fs, feed, None);
+    let src = add_source(fg, cfg, fs, feed);
     let peak = fg.add(Box::new(PeakDetectBlock::new(cfg, registry, fs, None)));
     let channels: Vec<u8> = (0..rfd_phy::bluetooth::NUM_CHANNELS)
         .filter(|&ch| {
@@ -1676,11 +1660,8 @@ fn build_rfdump(
     let ports: Vec<Protocol> = analyzers.iter().map(|a| a.protocol()).collect();
     let pooled = cfg.workers > 0;
     let governor = cfg.governor.map(|g| Arc::new(LoadGovernor::new(g)));
-    if let Some(g) = &governor {
-        g.init_chunk(cfg.chunk_samples);
-        if let Some(reg) = registry {
-            g.set_registry(reg.clone());
-        }
+    if let (Some(g), Some(reg)) = (&governor, registry) {
+        g.set_registry(reg.clone());
     }
 
     // Crash-safe durability: open (or recover) the journal before the graph
@@ -1751,7 +1732,7 @@ fn build_rfdump(
     // The low watermark exists only where the sweep scheduler orders the
     // merge after every stage that publishes into it.
     let wm = (!cfg.threaded).then(|| Arc::new(Watermarks::new()));
-    let src = add_source(fg, cfg, fs, feed, governor.clone());
+    let src = add_source(fg, cfg, fs, feed);
     let peak = fg.add(Box::new(PeakDetectBlock::new(
         cfg,
         registry,

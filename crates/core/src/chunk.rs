@@ -98,8 +98,10 @@ pub struct PeakBlock {
     pub sample_start: u64,
     /// Stream sample rate.
     pub sample_rate: f64,
-    /// Ingest stamp inherited from the earliest chunk contributing to this
-    /// peak (`None` outside telemetry runs). See [`SampleChunk::ingest`].
+    /// Ingest stamp inherited from the chunk holding the peak's last
+    /// sample, so stage latencies exclude the packet's own airtime (`None`
+    /// outside telemetry and latency-budget runs). See
+    /// [`SampleChunk::ingest`].
     pub ingest: Option<Instant>,
 }
 

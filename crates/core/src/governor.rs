@@ -33,17 +33,19 @@
 //!
 //! With a `latency_budget_us` configured (`--latency-budget MS`), the
 //! governor also closes the loop from measured tail latency to the ladder:
-//! the record merge feeds every record's sample→record latency (at
-//! release) into a private histogram, and a rate-limited tick computes the windowed p99 (via
-//! [`rfd_telemetry::HistogramWindow`] — the cumulative histograms cannot
-//! drive a control loop). Budget violations walk a ladder that starts one
-//! rung *below* the CPU ladder: the chunk size is halved toward
-//! `chunk_min` first — re-chunking is free in record terms because the
-//! peak detector re-blocks internally (see `crate::peak`) — and only then
-//! do the record-visible shed levels engage. Recovery retraces the ladder
-//! in reverse with hysteresis (several consecutive clean windows per
-//! step). CPU-ratio behaviour is completely unchanged when no budget is
-//! set. A budget alone arms only this latency ladder: a config built as
+//! the record merge feeds every record's sample→record latency (from the
+//! ingest of its peak's last sample to release) into a private histogram,
+//! and a rate-limited tick computes the windowed p99 (via [`rfd_telemetry::HistogramWindow`] — the cumulative
+//! histograms cannot drive a control loop). Budget violations walk the
+//! same shed levels as the CPU ladder, with hysteresis: [`VIOLATE_STREAK`]
+//! consecutive violating windows escalate one level, [`RESTORE_STREAK`]
+//! consecutive clean windows restore one. The governor never touches the
+//! chunk size: that is `ArchConfig::chunk_samples`, fixed for the run. The
+//! tail is set by the dispatcher's `hold_peaks` hold, so a smaller chunk
+//! could take only the source's batch fill (about a millisecond) off it,
+//! at a CPU cost. CPU-ratio behaviour is completely unchanged when no
+//! budget is set. A budget alone arms only this latency ladder: a config
+//! built as
 //! `GovernorConfig { latency_budget_us: Some(..), ..Default::default() }`
 //! has no CPU ladder, so a loaded host falling behind real time cannot
 //! shed records an unviolated budget promised to leave alone.
@@ -51,7 +53,7 @@
 use rfd_telemetry::event::EventKind;
 use rfd_telemetry::json::JsonValue;
 use rfd_telemetry::{Histogram, HistogramWindow, Registry};
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -96,11 +98,6 @@ pub struct GovernorConfig {
     /// disables the latency signal entirely: the governor behaves exactly
     /// as before.
     pub latency_budget_us: Option<f64>,
-    /// Smallest chunk size the latency ladder may shrink to, samples.
-    pub chunk_min: usize,
-    /// Largest chunk size the latency ladder may grow back to, samples
-    /// (clamped to the pipeline's configured chunk size at init).
-    pub chunk_max: usize,
 }
 
 impl Default for GovernorConfig {
@@ -110,8 +107,6 @@ impl Default for GovernorConfig {
             alpha: 0.2,
             force_level: None,
             latency_budget_us: None,
-            chunk_min: DEFAULT_CHUNK_MIN,
-            chunk_max: DEFAULT_CHUNK_MAX,
         }
     }
 }
@@ -127,15 +122,10 @@ impl GovernorConfig {
     }
 }
 
-/// Default lower bound for the adaptive chunk ladder, samples.
-pub const DEFAULT_CHUNK_MIN: usize = 64;
-/// Default upper bound for the adaptive chunk ladder, samples.
-pub const DEFAULT_CHUNK_MAX: usize = 1024;
-
 /// Consecutive violating windows before the latency ladder escalates.
 const VIOLATE_STREAK: u32 = 2;
 /// Consecutive clean windows (p99 under [`LATENCY_LOW_WATER`] × budget)
-/// before it restores one rung — recovery is deliberately slower than
+/// before it restores one level — recovery is deliberately slower than
 /// shedding.
 const RESTORE_STREAK: u32 = 4;
 /// Fraction of the budget a window's p99 must stay under to count as
@@ -149,8 +139,6 @@ const LATENCY_LOW_WATER: f64 = 0.7;
 pub enum LatencyAction {
     /// Windowed p99 exceeded the budget (p99 µs, budget µs).
     Violated(f64, f64),
-    /// The chunk size stepped (from, to) samples.
-    ChunkResized(usize, usize),
     /// The shed level changed (from, to) because of latency.
     Level(u8, u8),
 }
@@ -179,15 +167,9 @@ pub struct LoadGovernor {
     /// rate-limit clock, and the hysteresis streaks. `latency_tick` uses
     /// `try_lock`, so concurrent callers never serialize on it.
     ctl: Mutex<LatencyCtl>,
-    /// Telemetry sink for typed events and the chunk-size gauge, if any.
+    /// Telemetry sink for typed events and the level gauge, if any.
     registry: Mutex<Option<Arc<Registry>>>,
-    /// Current adaptive chunk size, samples.
-    chunk_size: AtomicUsize,
-    /// The pipeline's configured chunk size (the ladder's ceiling).
-    chunk_base: AtomicUsize,
     budget_violations: AtomicU64,
-    chunk_shrinks: AtomicU64,
-    chunk_grows: AtomicU64,
     /// Most recent windowed p99, f64 bits (0 until the first tick).
     last_p99_bits: AtomicU64,
 }
@@ -222,11 +204,7 @@ impl LoadGovernor {
                 clean: 0,
             }),
             registry: Mutex::new(None),
-            chunk_size: AtomicUsize::new(crate::CHUNK_SAMPLES),
-            chunk_base: AtomicUsize::new(crate::CHUNK_SAMPLES),
             budget_violations: AtomicU64::new(0),
-            chunk_shrinks: AtomicU64::new(0),
-            chunk_grows: AtomicU64::new(0),
             last_p99_bits: AtomicU64::new(0),
         }
     }
@@ -236,33 +214,10 @@ impl LoadGovernor {
         self.cfg.latency_budget_us
     }
 
-    /// Seeds the adaptive chunk ladder with the pipeline's configured
-    /// chunk size. In budget mode `chunk_max` caps the ceiling; the
-    /// ladder shrinks from there toward `chunk_min` and grows back, but
-    /// never above the ceiling — an unviolated budget with default bounds
-    /// leaves the chunking (and therefore timing) untouched.
-    pub fn init_chunk(&self, base: usize) {
-        let cap = if self.cfg.latency_budget_us.is_some() {
-            self.cfg.chunk_max.max(1)
-        } else {
-            usize::MAX
-        };
-        let base = base.max(1).min(cap);
-        self.chunk_base.store(base, Ordering::Relaxed);
-        self.chunk_size.store(base, Ordering::Relaxed);
-    }
-
-    /// Current adaptive chunk size, samples.
-    pub fn chunk_size(&self) -> usize {
-        self.chunk_size.load(Ordering::Relaxed)
-    }
-
     /// Attaches a telemetry registry so latency ticks can emit typed
-    /// events (`budget_violated`, `chunk_resized`, shed transitions) and
-    /// keep the `governor.chunk_size` gauge current.
+    /// events (`budget_violated` and shed transitions) and keep the
+    /// `governor.level` gauge current.
     pub fn set_registry(&self, reg: Arc<Registry>) {
-        reg.gauge("governor.chunk_size")
-            .set(self.chunk_size() as i64);
         *self.registry.lock().unwrap_or_else(|e| e.into_inner()) = Some(reg);
     }
 
@@ -281,10 +236,9 @@ impl LoadGovernor {
     ///
     /// Rate-limited to `max(10ms, budget/4)` so the record merge can call
     /// it unconditionally; most calls return immediately. Each due tick
-    /// advances the p99 window and walks the ladder with hysteresis:
-    /// [`VIOLATE_STREAK`] violating windows shrink the chunk (cheapest
-    /// rung) or, at `chunk_min`, escalate the shed level;
-    /// [`RESTORE_STREAK`] clean windows retrace one rung in reverse.
+    /// advances the p99 window and walks the shed ladder with hysteresis:
+    /// [`VIOLATE_STREAK`] violating windows escalate one level,
+    /// [`RESTORE_STREAK`] clean windows restore one.
     /// Returns what it decided so callers without a registry can react.
     pub fn latency_tick(&self) -> Vec<LatencyAction> {
         self.latency_tick_inner(false)
@@ -323,19 +277,11 @@ impl LoadGovernor {
             actions.push(LatencyAction::Violated(snap.p99, budget));
             if ctl.violate >= VIOLATE_STREAK {
                 ctl.violate = 0;
-                let cur = self.chunk_size.load(Ordering::Relaxed);
-                let next = (cur / 2).max(self.cfg.chunk_min.max(1)).min(cur);
-                if next < cur {
-                    self.chunk_size.store(next, Ordering::Relaxed);
-                    self.chunk_shrinks.fetch_add(1, Ordering::Relaxed);
-                    actions.push(LatencyAction::ChunkResized(cur, next));
-                } else if self.cfg.force_level.is_none() {
-                    let lvl = self.level.load(Ordering::Relaxed);
-                    if lvl < MAX_LEVEL {
-                        self.level.store(lvl + 1, Ordering::Relaxed);
-                        self.escalations.fetch_add(1, Ordering::Relaxed);
-                        actions.push(LatencyAction::Level(lvl, lvl + 1));
-                    }
+                let lvl = self.level.load(Ordering::Relaxed);
+                if lvl < MAX_LEVEL && self.cfg.force_level.is_none() {
+                    self.level.store(lvl + 1, Ordering::Relaxed);
+                    self.escalations.fetch_add(1, Ordering::Relaxed);
+                    actions.push(LatencyAction::Level(lvl, lvl + 1));
                 }
             }
         } else if snap.p99 < LATENCY_LOW_WATER * budget {
@@ -348,15 +294,6 @@ impl LoadGovernor {
                     self.level.store(lvl - 1, Ordering::Relaxed);
                     self.deescalations.fetch_add(1, Ordering::Relaxed);
                     actions.push(LatencyAction::Level(lvl, lvl - 1));
-                } else {
-                    let cur = self.chunk_size.load(Ordering::Relaxed);
-                    let base = self.chunk_base.load(Ordering::Relaxed);
-                    let next = (cur * 2).min(base);
-                    if next > cur {
-                        self.chunk_size.store(next, Ordering::Relaxed);
-                        self.chunk_grows.fetch_add(1, Ordering::Relaxed);
-                        actions.push(LatencyAction::ChunkResized(cur, next));
-                    }
                 }
             }
         } else {
@@ -385,10 +322,6 @@ impl LoadGovernor {
                         format!("p99 {p99:.0}us over budget {budget:.0}us"),
                     );
                 }
-                LatencyAction::ChunkResized(from, to) => {
-                    reg.gauge("governor.chunk_size").set(to as i64);
-                    reg.emit_event(EventKind::ChunkResized, format!("{from} -> {to} samples"));
-                }
                 LatencyAction::Level(from, to) => {
                     reg.gauge("governor.level").set(i64::from(to));
                     let kind = if to > from {
@@ -409,18 +342,13 @@ impl LoadGovernor {
         }
     }
 
-    /// Point-in-time summary of bounded-latency mode for stats-json v10,
+    /// Point-in-time summary of bounded-latency mode for stats-json,
     /// or `None` when no budget is configured.
     pub fn latency_report(&self) -> Option<LatencyReport> {
         let budget_us = self.cfg.latency_budget_us?;
         Some(LatencyReport {
             budget_us,
             violations: self.budget_violations.load(Ordering::Relaxed),
-            chunk_size: self.chunk_size.load(Ordering::Relaxed),
-            chunk_base: self.chunk_base.load(Ordering::Relaxed),
-            chunk_min: self.cfg.chunk_min,
-            chunk_shrinks: self.chunk_shrinks.load(Ordering::Relaxed),
-            chunk_grows: self.chunk_grows.load(Ordering::Relaxed),
             last_p99_us: f64::from_bits(self.last_p99_bits.load(Ordering::Relaxed)),
         })
     }
@@ -582,39 +510,17 @@ pub struct LatencyReport {
     pub budget_us: f64,
     /// Windows whose p99 exceeded the budget.
     pub violations: u64,
-    /// Current adaptive chunk size, samples.
-    pub chunk_size: usize,
-    /// Configured (ceiling) chunk size, samples.
-    pub chunk_base: usize,
-    /// Smallest chunk size the ladder may reach, samples.
-    pub chunk_min: usize,
-    /// Times the chunk stepped down.
-    pub chunk_shrinks: u64,
-    /// Times the chunk stepped back up.
-    pub chunk_grows: u64,
     /// Most recent windowed p99, µs (0 before the first tick).
     pub last_p99_us: f64,
 }
 
 impl LatencyReport {
-    /// The report as the stats-json `latency_mode` object (the adaptive
-    /// chunk trajectory nests under `chunk`).
+    /// The report as the stats-json `latency_mode` object.
     pub fn to_json(&self) -> JsonValue {
-        let n = |v: u64| JsonValue::num(v as f64);
         JsonValue::obj(vec![
             ("budget_us", JsonValue::num(self.budget_us)),
-            ("violations", n(self.violations)),
+            ("violations", JsonValue::num(self.violations as f64)),
             ("last_p99_us", JsonValue::num(self.last_p99_us)),
-            (
-                "chunk",
-                JsonValue::obj(vec![
-                    ("size", n(self.chunk_size as u64)),
-                    ("base", n(self.chunk_base as u64)),
-                    ("min", n(self.chunk_min as u64)),
-                    ("shrinks", n(self.chunk_shrinks)),
-                    ("grows", n(self.chunk_grows)),
-                ]),
-            ),
         ])
     }
 }
@@ -680,10 +586,8 @@ mod tests {
     #[test]
     fn no_budget_means_no_latency_behaviour() {
         let g = LoadGovernor::new(GovernorConfig::default());
-        g.init_chunk(200);
         g.record_e2e(Some(Instant::now()));
         assert_eq!(g.latency_tick(), Vec::new());
-        assert_eq!(g.chunk_size(), 200);
         assert_eq!(g.latency_report(), None);
         assert_eq!(g.e2e.count(), 0, "record_e2e is a no-op without a budget");
     }
@@ -700,35 +604,29 @@ mod tests {
         g.latency_tick_forced()
     }
 
-    #[test]
-    fn latency_ladder_shrinks_chunks_before_shedding() {
-        let g = LoadGovernor::new(GovernorConfig {
+    fn budgeted() -> LoadGovernor {
+        LoadGovernor::new(GovernorConfig {
             latency_budget_us: Some(1_000.0),
-            chunk_min: 50,
             ..Default::default()
-        });
-        g.init_chunk(200);
+        })
+    }
+
+    #[test]
+    fn latency_violations_escalate_the_shed_level() {
+        let g = budgeted();
         // First violating window only books the violation (hysteresis).
         let a = violating_tick(&g);
         assert_eq!(a.len(), 1);
         assert!(matches!(a[0], LatencyAction::Violated(p99, b) if p99 > b));
-        assert_eq!(g.chunk_size(), 200);
-        // Second consecutive violation takes the cheapest rung: halve the
-        // chunk. Records stay byte-identical, so this sheds nothing visible.
-        let a = violating_tick(&g);
-        assert!(a.contains(&LatencyAction::ChunkResized(200, 100)));
-        violating_tick(&g);
-        let a = violating_tick(&g);
-        assert!(a.contains(&LatencyAction::ChunkResized(100, 50)), "{a:?}");
-        assert_eq!(g.chunk_size(), 50, "clamped at chunk_min");
-        // Chunk floor reached: the record-visible shed ladder engages.
-        violating_tick(&g);
+        assert_eq!(g.level(), 0);
+        // The second consecutive violation sheds demodulation.
         let a = violating_tick(&g);
         assert!(a.contains(&LatencyAction::Level(0, 1)), "{a:?}");
+        assert!(!g.demod_allowed());
+        assert!(g.detector_allowed("wifi-phase"));
         violating_tick(&g);
         let a = violating_tick(&g);
         assert!(a.contains(&LatencyAction::Level(1, 2)), "{a:?}");
-        assert!(!g.demod_allowed());
         assert!(!g.detector_allowed("wifi-phase"));
         // Fully degraded: further violations only count.
         violating_tick(&g);
@@ -736,39 +634,33 @@ mod tests {
         assert_eq!(a.len(), 1, "{a:?}");
         assert!(matches!(a[0], LatencyAction::Violated(..)));
         let r = g.latency_report().unwrap();
-        assert_eq!(r.chunk_size, 50);
-        assert_eq!(r.chunk_shrinks, 2);
-        assert!(r.violations >= 10);
+        assert_eq!(r.violations, 6);
         assert!(r.last_p99_us > r.budget_us);
+        assert_eq!(g.report().escalations, 2);
     }
 
     #[test]
     fn latency_recovery_retraces_the_ladder_in_reverse() {
-        let g = LoadGovernor::new(GovernorConfig {
-            latency_budget_us: Some(1_000.0),
-            chunk_min: 50,
-            ..Default::default()
-        });
-        g.init_chunk(200);
-        for _ in 0..12 {
+        let g = budgeted();
+        for _ in 0..4 {
             violating_tick(&g);
         }
-        assert_eq!((g.level(), g.chunk_size()), (2, 50));
-        let mut resized = Vec::new();
+        assert_eq!(g.level(), 2);
         let mut levels = Vec::new();
-        for _ in 0..24 {
+        for tick in 1..=8 {
             for a in clean_tick(&g) {
                 match a {
-                    LatencyAction::ChunkResized(f, t) => resized.push((f, t)),
-                    LatencyAction::Level(f, t) => levels.push((f, t)),
+                    LatencyAction::Level(f, t) => levels.push((tick, f, t)),
                     LatencyAction::Violated(..) => panic!("clean windows"),
                 }
             }
         }
-        assert_eq!(levels, vec![(2, 1), (1, 0)], "levels restore first");
-        assert_eq!(resized, vec![(50, 100), (100, 200)], "then the chunk");
-        assert_eq!(g.chunk_size(), 200, "never grows past the configured base");
-        assert_eq!(g.latency_report().unwrap().chunk_grows, 2);
+        assert_eq!(levels, vec![(4, 2, 1), (8, 1, 0)]);
+        assert_eq!(g.report().deescalations, 2);
+        // At level 0 clean windows change nothing.
+        for _ in 0..8 {
+            assert_eq!(clean_tick(&g), Vec::new());
+        }
     }
 
     #[test]
@@ -776,69 +668,88 @@ mod tests {
         // A budget built on the default config has no CPU ladder: CPU
         // observations must never move the level, while the latency
         // ladder sheds and recovers as ever.
-        let g = LoadGovernor::new(GovernorConfig {
-            latency_budget_us: Some(1_000.0),
-            chunk_min: 50,
-            ..Default::default()
-        });
-        g.init_chunk(200);
+        let g = budgeted();
         std::thread::sleep(std::time::Duration::from_millis(2));
         assert_eq!(g.observe(1.0), None, "hopeless ratio cannot escalate");
         assert_eq!(g.level(), 0);
         assert!(g.report().ratio > 1.0, "the ratio is still reported");
-        for _ in 0..12 {
+        for _ in 0..4 {
             violating_tick(&g);
         }
-        assert_eq!((g.level(), g.chunk_size()), (2, 50));
+        assert_eq!(g.level(), 2);
         assert_eq!(g.observe(1e15), None, "great ratio cannot deescalate");
         assert_eq!(g.level(), 2);
-        for _ in 0..24 {
+        for _ in 0..8 {
             clean_tick(&g);
         }
-        assert_eq!((g.level(), g.chunk_size()), (0, 200));
+        assert_eq!(g.level(), 0);
+    }
+
+    #[test]
+    fn forced_level_pins_the_latency_ladder() {
+        let g = LoadGovernor::new(GovernorConfig {
+            latency_budget_us: Some(1_000.0),
+            force_level: Some(1),
+            ..Default::default()
+        });
+        for _ in 0..4 {
+            let a = violating_tick(&g);
+            assert!(a.iter().all(|a| matches!(a, LatencyAction::Violated(..))));
+        }
+        assert_eq!(g.level(), 1);
+        for _ in 0..8 {
+            assert_eq!(clean_tick(&g), Vec::new());
+        }
+        assert_eq!(g.level(), 1);
     }
 
     #[test]
     fn unviolated_budget_changes_nothing_and_mixed_windows_hold_state() {
-        let g = LoadGovernor::new(GovernorConfig {
-            latency_budget_us: Some(1_000.0),
-            ..Default::default()
-        });
-        g.init_chunk(200);
+        let g = budgeted();
         for _ in 0..16 {
             assert_eq!(clean_tick(&g), Vec::new());
         }
-        assert_eq!((g.level(), g.chunk_size()), (0, 200));
+        assert_eq!(g.level(), 0);
         assert_eq!(g.latency_report().unwrap().violations, 0);
-        // A window between low-water and the budget resets both streaks.
+        // A window between low-water and the budget resets both streaks:
+        // violation, neutral, violation never reaches VIOLATE_STREAK.
+        violating_tick(&g);
         g.e2e.record(900.0);
         assert_eq!(g.latency_tick_forced(), Vec::new());
+        let a = violating_tick(&g);
+        assert_eq!(a.len(), 1, "{a:?}");
+        assert_eq!(g.level(), 0);
         // An empty window is no signal at all.
         assert_eq!(g.latency_tick_forced(), Vec::new());
     }
 
     #[test]
     fn latency_events_reach_an_attached_registry() {
-        let g = LoadGovernor::new(GovernorConfig {
-            latency_budget_us: Some(1_000.0),
-            chunk_min: 100,
-            ..Default::default()
-        });
-        g.init_chunk(200);
+        let g = budgeted();
         let reg = Arc::new(rfd_telemetry::Registry::default());
         g.set_registry(reg.clone());
-        assert_eq!(reg.gauge("governor.chunk_size").get(), 200);
         violating_tick(&g);
         violating_tick(&g);
-        assert_eq!(reg.gauge("governor.chunk_size").get(), 100);
+        assert_eq!(reg.gauge("governor.level").get(), 1);
+        for _ in 0..4 {
+            clean_tick(&g);
+        }
+        assert_eq!(reg.gauge("governor.level").get(), 0);
         let kinds: Vec<&str> = reg
             .events()
             .events()
             .iter()
             .map(|e| e.kind.as_str())
             .collect();
-        assert!(kinds.contains(&"budget_violated"), "{kinds:?}");
-        assert!(kinds.contains(&"chunk_resized"), "{kinds:?}");
+        assert_eq!(
+            kinds,
+            [
+                "budget_violated",
+                "budget_violated",
+                "governor_shed",
+                "governor_restore"
+            ]
+        );
     }
 
     #[test]
@@ -846,17 +757,13 @@ mod tests {
         let r = LatencyReport {
             budget_us: 5_000.0,
             violations: 3,
-            chunk_size: 100,
-            chunk_base: 200,
-            chunk_min: 64,
-            chunk_shrinks: 1,
-            chunk_grows: 0,
             last_p99_us: 6_200.0,
         };
         let json = r.to_json().to_json();
-        assert!(json.contains("\"budget_us\":5000"), "{json}");
-        assert!(json.contains("\"size\":100"), "{json}");
-        assert!(json.contains("\"shrinks\":1"), "{json}");
+        assert_eq!(
+            json,
+            r#"{"budget_us":5000,"violations":3,"last_p99_us":6200}"#
+        );
     }
 
     #[test]

@@ -3,10 +3,12 @@
 //! Samples are stamped with an ingest [`Instant`] when they are pushed into
 //! the stream, and every chunk cut from them carries that stamp (telemetry
 //! and latency-budget runs only — the stamp is an `Option` side channel
-//! that never reaches serialized records). Each pipeline stage records
-//! *time since ingest* into its own histogram when work for that stamp
-//! completes — the end-to-end one when the record merge releases the
-//! record — so the per-stage histograms form a monotone waterfall:
+//! that never reaches serialized records). A peak carries the stamp of the
+//! chunk holding its last sample, so no stage counts the packet's own
+//! airtime. Each pipeline stage records *time since ingest* into its own
+//! histogram when work for that stamp completes — the end-to-end one when
+//! the record merge releases the record — so the per-stage histograms
+//! form a monotone waterfall:
 //!
 //! `latency.detect_us ≤ latency.dispatch_us ≤ latency.analyze_us ≤
 //! latency.merge_us ≤ latency.journal_us ≤ latency.e2e_us`

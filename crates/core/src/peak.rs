@@ -135,7 +135,9 @@ struct OpenPeak {
     /// instantaneous threshold).
     power_acc: f64,
     n_acc: u64,
-    /// Ingest stamp of the chunk that opened the peak (telemetry only).
+    /// Ingest stamp of the chunk holding `last_hot`, the peak's last
+    /// sample, so time since ingest excludes the packet's own airtime
+    /// (telemetry and latency budget only).
     ingest: Option<std::time::Instant>,
 }
 
@@ -368,6 +370,7 @@ impl PeakDetector {
                         op.hot_run += 1;
                         if op.hot_run >= 3 {
                             op.last_hot = idx;
+                            op.ingest = ingest;
                         }
                     } else {
                         op.hot_run = 0;
@@ -482,6 +485,7 @@ impl PeakDetector {
                         op.hot_run += 1;
                         if op.hot_run >= 3 {
                             op.last_hot = idx;
+                            op.ingest = ingest;
                         }
                     } else {
                         op.hot_run = 0;

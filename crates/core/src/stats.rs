@@ -66,6 +66,15 @@
 //!   `fleet.per_source` row gains `deadline_p99_us` and its current `shed`
 //!   rung (`none` / `throttle` / `drop-oldest`). This comment is the
 //!   single authoritative record of the v9→v10 bump.
+//! * **11** — `latency_mode` loses the adaptive-chunk trajectory (the
+//!   `chunk` object): the governor no longer resizes chunks, so a budget
+//!   violation goes straight to the shed levels, and chunk size is the
+//!   run's fixed `ArchConfig::chunk_samples`. `latency_mode` keeps
+//!   `budget_us`, `violations`, `last_p99_us` and the `fleet` sub-object.
+//!   Stage latencies (`latency`, `latency_mode`) now count from the ingest
+//!   of a peak's last sample rather than its first, so they no longer
+//!   include the packet's airtime. This comment is the single
+//!   authoritative record of the v10→v11 bump.
 
 use crate::arch::ArchOutput;
 use crate::records::PacketInfo;
@@ -77,7 +86,7 @@ use std::path::Path;
 /// Schema identifier carried in every stats document.
 pub const STATS_SCHEMA: &str = "rfd-stats";
 /// Current stats document version.
-pub const STATS_VERSION: u64 = 10;
+pub const STATS_VERSION: u64 = 11;
 
 /// The pipeline stage a block belongs to: the block-name prefix before the
 /// first `:` (`detect:peak/energy` → `detect`).
@@ -319,7 +328,8 @@ fn stats_doc(out: &ArchOutput, fleet: Option<&rfd_net::FleetSnapshot>) -> JsonVa
         Some(g) => doc.push("degradation", g.to_json()),
     }
 
-    // Bounded-latency mode (v10; null unless a budget was configured).
+    // Bounded-latency mode (v10, reshaped in v11; null unless a budget
+    // was configured).
     // Fleet servers report the per-pipeline view plus overload-control
     // rollups; the per-source deadline rows live in `fleet.per_source`.
     let fleet_latency = fleet.and_then(|f| f.latency.as_ref());

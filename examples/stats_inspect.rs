@@ -284,8 +284,9 @@ fn main() {
     }
 
     // Version-10 section: bounded-latency mode — the budget, the windowed
-    // p99 it polices, the adaptive-chunk trajectory, and (for fleet runs)
-    // the overload admission-control rollup.
+    // p99 it polices, and (for fleet runs) the overload admission-control
+    // rollup. A v10 document also carries the since-removed adaptive-chunk
+    // trajectory (`chunk`), rendered when present.
     match doc.get("latency_mode") {
         Some(JsonValue::Null) | None => {}
         Some(lm) => {

@@ -45,7 +45,7 @@ fn minimal_doc(version: u64) -> String {
 fn reader_accepts_every_document_version_up_to_current() {
     assert_eq!(
         rfdump::stats::STATS_VERSION,
-        10,
+        11,
         "a version bump must extend this harness with the new version's sections"
     );
     for version in 1..=rfdump::stats::STATS_VERSION {
@@ -98,6 +98,27 @@ fn v10_latency_mode_sections_are_rendered() {
     assert!(
         stdout.contains("[shed: throttle]"),
         "missing per-source shed rung:\n{stdout}"
+    );
+}
+
+#[test]
+fn v11_latency_mode_renders_without_a_chunk_trajectory() {
+    let doc = concat!(
+        r#"{"schema":"rfd-stats","version":11,"#,
+        r#""trace":{"seconds":0.01,"sample_rate":8000000,"samples":80000},"#,
+        r#""total":{"cpu_ms":1.5,"wall_ms":2.0,"cpu_over_realtime":0.15},"#,
+        r#""latency_mode":{"budget_us":5000,"violations":3,"last_p99_us":6200,"#,
+        r#""fleet":null}}"#
+    );
+    let (ok, stdout) = inspect(doc);
+    assert!(ok, "v11 document rejected:\n{stdout}");
+    assert!(
+        stdout.contains("latency mode: budget 5.0 ms, 3 violation(s), last windowed p99 6.2 ms"),
+        "missing latency-mode line:\n{stdout}"
+    );
+    assert!(
+        !stdout.contains("chunk:"),
+        "a v11 document has no chunk trajectory:\n{stdout}"
     );
 }
 

@@ -249,3 +249,38 @@ fn baselines_and_the_threaded_scheduler_release_only_at_finish() {
         }
     }
 }
+
+/// In-process latency counts from the ingest of a peak's *last* sample,
+/// like the fleet deadline: a burst whose second half arrives 60 ms after
+/// its first (its airtime, were the stream real time) must not charge that
+/// wait to `latency.e2e_us`.
+#[test]
+fn e2e_latency_counts_from_the_ingest_of_a_peaks_last_sample() {
+    let trace = mixed_trace(1, 0, 28.0, 61);
+    let burst = &trace.truth[0];
+    let cfg = ArchConfig {
+        band: trace.band,
+        telemetry: true,
+        noise_floor: Some(trace.noise_power),
+        ..ArchConfig::rfdump(vec![piconet()])
+    };
+    let mid = (burst.start_sample + burst.end_sample) / 2;
+    let mut s = ArchStream::new(&cfg, trace.band.sample_rate, None, None);
+    s.push(&trace.samples[..mid]);
+    s.pump();
+    std::thread::sleep(std::time::Duration::from_millis(60));
+    s.push(&trace.samples[mid..burst.end_sample]);
+    // A quiet tail (the noise before the burst) closes the peak.
+    s.push(&trace.samples[..burst.start_sample]);
+    s.pump();
+    let out = s.finish();
+    assert!(!out.records.is_empty(), "the burst produced no record");
+    let reg = out.registry.as_ref().expect("telemetry run");
+    let e2e = rfdump::latency::stage_histogram(reg, rfdump::latency::E2E);
+    assert!(e2e.count() > 0, "no e2e latency was recorded");
+    assert!(
+        e2e.max() < 60_000.0,
+        "e2e latency {:.0} us counts the wait for the burst's second half",
+        e2e.max()
+    );
+}
